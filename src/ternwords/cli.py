@@ -15,6 +15,7 @@ import sys
 
 from .words import ParseError, count_square_free, find_square, parse_word
 from .triplepair import (
+    _bool_text,
     builtin_pair,
     certificate_text,
     pair_text,
@@ -40,10 +41,6 @@ EXIT_BUDGET = 3
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
-
-
-def _bool_text(flag: bool) -> str:
-    return "true" if flag else "false"
 
 
 def _load_pair(path: str):

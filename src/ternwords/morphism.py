@@ -22,12 +22,10 @@ __all__ = [
     "ExpansionBudgetError",
     "BoundReport",
     "ExpansionReport",
-    "CountingReport",
     "lower_bound",
     "parse_choices",
     "substitute",
     "verify_expansion",
-    "counting_inequality_check",
 ]
 
 DEFAULT_EXPANSION_BUDGET = 10_000_000
@@ -84,22 +82,16 @@ class ExpansionReport:
     all_distinct: bool
 
 
-@dataclass(frozen=True)
-class CountingReport:
-    lhs_lower: int
-    distinct_outputs: int
-
-    @property
-    def confirmed(self) -> bool:
-        return self.distinct_outputs == self.lhs_lower
-
-
 def _require_verified(tp: TriplePair):
     if not verify(tp).verdict:
         raise ValueError("triple-pair fails verification; expansion guarantees need a passing pair")
 
 
 def _check_budget(n: int, budget: int) -> int:
+    # a(n) >= 1, so 2^n alone can exceed the budget; that test is instant,
+    # while counting a(n) takes time exponential in n.
+    if 2**n > budget:
+        raise ExpansionBudgetError(f"2^n * a(n) >= 2^n = {2**n} exceeds budget {budget}")
     total = (2**n) * count_square_free(n)
     if total > budget:
         raise ExpansionBudgetError(f"2^n * a(n) = {total} exceeds budget {budget}")
@@ -119,7 +111,9 @@ def verify_expansion(tp: TriplePair, n: int, budget: int = DEFAULT_EXPANSION_BUD
     Reports the image count 2^n * a(n) and whether all images are
     square-free and pairwise distinct.  Raises ExpansionBudgetError before
     enumerating when the image count exceeds the budget, and ValueError
-    when the pair itself fails verification.
+    when the pair itself fails verification.  Both flags true confirms the
+    counting step a(n*k) >= 2^n * a(n) at this n: the images are then
+    2^n * a(n) distinct square-free words of length n*k.
     """
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
@@ -136,18 +130,3 @@ def verify_expansion(tp: TriplePair, n: int, budget: int = DEFAULT_EXPANSION_BUD
     assert produced == total
     return ExpansionReport(total=total, all_square_free=all_sf, all_distinct=len(seen) == total)
 
-
-def counting_inequality_check(tp: TriplePair, n: int, budget: int = DEFAULT_EXPANSION_BUDGET) -> CountingReport:
-    """Count distinct square-free images of length n*k against 2^n * a(n).
-
-    Equality confirms the counting step a(n*k) >= 2^n * a(n) at this n.
-    """
-    if n < 0:
-        raise ValueError(f"length must be >= 0, got {n}")
-    _require_verified(tp)
-    total = _check_budget(n, budget)
-    seen = set()
-    for img in _all_images(tp, n):
-        if is_square_free(img):
-            seen.add(img.letters)
-    return CountingReport(lhs_lower=total, distinct_outputs=len(seen))

@@ -20,17 +20,20 @@ completion can satisfy the definition):
 Complete assignments get the full certificate check from the triplepair
 module, and only pairs whose certificate passes are emitted.
 
-Letters are packed two bits each into ints, so a suffix-square test is a
-shift, an xor and a mask per period.  Parallel runs shard the space by
-fixed-depth prefixes of the assignment sequence and merge shard results in
-lexicographic shard order, which keeps the emitted pair set independent of
-the shard count.
+Each growing word is kept as its letters reversed in a byte string.
+Placing a letter prepends it, and ``SQUARE.match`` from the words module
+tells whether a square now ends at that letter.  Parallel runs shard the
+space by fixed-depth prefixes of the assignment sequence and merge shard
+results in lexicographic shard order, which keeps the emitted pair set
+independent of the shard count.  The pool never has more workers than
+shards or CPUs.
 """
 
 import multiprocessing
+import os
 from dataclasses import dataclass, replace
 
-from .words import Word, is_square_free, parse_word, shift
+from .words import LETTER_BYTES, SQUARE, Word, is_square_free, shift
 from .triplepair import TriplePair, make_triple_pair, verify
 
 __all__ = ["SearchConfig", "SearchOutcome", "find_pairs", "prune_check", "canonicalize"]
@@ -141,29 +144,8 @@ def prune_check(config: SearchConfig, letters) -> bool:
     return True
 
 
-def _pack(letters) -> int:
-    acc = 0
-    for a in letters:
-        acc = (acc << 2) | a
-    return acc
-
-
-def _suffix_square(buf: int, length: int, masks) -> bool:
-    """Does a square end at the last letter of the packed buffer?"""
-    for p in range(1, length // 2 + 1):
-        if ((buf ^ (buf >> (p << 1))) & masks[p]) == 0:
-            return True
-    return False
-
-
-def _square_ending_in(buf: int, length: int, lo: int, masks) -> bool:
-    """Does a square end at any position in (lo, length] of the packed buffer?"""
-    for end in range(lo + 1, length + 1):
-        pref = buf >> ((length - end) << 1)
-        for p in range(1, end // 2 + 1):
-            if ((pref ^ (pref >> (p << 1))) & masks[p]) == 0:
-                return True
-    return False
+def _pair_key(pair: TriplePair) -> tuple:
+    return tuple(w.letters for w in pair.words_in_file_order())
 
 
 class _Stop(Exception):
@@ -175,7 +157,6 @@ class _SearcherBase:
         self.cfg = cfg
         self.k = cfg.k
         self.half = (cfg.k + 1) // 2
-        self.masks = [(1 << (2 * p)) - 1 for p in range(2 * cfg.k + 2)]
         self.prefix = tuple(prefix)
         self.stop_depth = stop_depth
         self.collector = collector
@@ -206,7 +187,7 @@ class _SearcherBase:
     def _record(self, pair: TriplePair):
         if self.cfg.canonical:
             pair = canonicalize(pair)
-            key = tuple(w.letters for w in pair.words_in_file_order())
+            key = _pair_key(pair)
             if key in self._seen_keys:
                 return
             self._seen_keys.add(key)
@@ -229,27 +210,19 @@ class _ShiftSearcher(_SearcherBase):
 
     def __init__(self, cfg, **kw):
         super().__init__(cfg, **kw)
-        self.u = []
-        self.v = []
-        self.pu = 0
-        self.pv = 0
-        self.pb1 = 0  # packed U0 . shift(v, 1)
-        self.pb2 = 0  # packed U0 . shift(v, 2)
+        # reversed letters of U0, V0 and U0 . shift(V0, d) for d = 1, 2
+        self.ru = self.rv = self.rb1 = self.rb2 = b""
         self.forbid = {}
 
     def _candidates(self, depth: int):
         k = self.k
         cfg = self.cfg
-        if depth < k:
-            pos = depth
-            if pos == 0 and cfg.first_letter is not None:
-                return (cfg.first_letter,)
-            if cfg.palindrome_constraint and pos >= self.half:
-                return (self.u[k - 1 - pos],)
-        else:
-            pos = depth - k
-            if cfg.palindrome_constraint and pos >= self.half:
-                return (self.v[k - 1 - pos],)
+        if depth == 0 and cfg.first_letter is not None:
+            return (cfg.first_letter,)
+        start = 0 if depth < k else k  # where the current word starts in seq
+        pos = depth - start
+        if cfg.palindrome_constraint and pos >= self.half:
+            return (self.seq[start + k - 1 - pos],)
         return (0, 1, 2)
 
     def _extend(self, depth: int):
@@ -260,58 +233,39 @@ class _ShiftSearcher(_SearcherBase):
         if depth == 2 * k:
             self._leaf()
             return
-        if depth == k:
-            if not self._u_complete_ok():
-                return
-            self._v_setup()
+        if depth == k and not self._complete_u():
+            return
         if depth < len(self.prefix):
             cands = (self.prefix[depth],)
         else:
             cands = self._candidates(depth)
         in_u = depth < k
-        pos = depth if in_u else depth - k
         for x in cands:
             self._attempt()
-            if in_u:
-                if not self._place_u(pos, x):
-                    continue
-            else:
-                if not self._place_v(pos, x):
-                    continue
-            self._extend(depth + 1)
-            if in_u:
-                self.u.pop()
-                self.pu >>= 2
-            else:
-                self.v.pop()
-                self.pv >>= 2
-                self.pb1 >>= 2
-                self.pb2 >>= 2
+            self.seq.append(x)
+            saved = self.ru, self.rv, self.rb1, self.rb2
+            if self._place_u(x) if in_u else self._place_v(depth - k, x):
+                self._extend(depth + 1)
+            self.ru, self.rv, self.rb1, self.rb2 = saved
             self.seq.pop()
 
-    def _place_u(self, pos: int, x: int) -> bool:
-        npu = (self.pu << 2) | x
-        if _suffix_square(npu, pos + 1, self.masks):
-            self.seq.append(x)
+    def _place_u(self, x: int) -> bool:
+        ru = LETTER_BYTES[x] + self.ru
+        if SQUARE.match(ru):
             self._cut("square-u")
-            self.seq.pop()
             return False
-        self.pu = npu
-        self.u.append(x)
-        self.seq.append(x)
+        self.ru = ru
         return True
 
-    def _u_complete_ok(self) -> bool:
+    def _complete_u(self) -> bool:
+        """Check the conditions U0 settles alone, then set up the V0 phase."""
         k = self.k
-        masks = self.masks
-        pu = self.pu
-        p1 = _pack((a + 1) % 3 for a in self.u)
-        p2 = _pack((a + 2) % 3 for a in self.u)
-        # U0 . shift(U0, d) square-free; squares ending inside the first
-        # half would be squares of U0 itself, already excluded.
-        for shifted in (p1, p2):
-            buf = (pu << (2 * k)) | shifted
-            if _square_ending_in(buf, 2 * k, k, masks):
+        u = bytes(self.seq)
+        shifted = [bytes((a + d) % 3 for a in u) for d in (1, 2)]
+        # U0 . shift(U0, d) must be square-free.  U0 and its shifts already
+        # are, so any square found crosses the seam.
+        for ud in shifted:
+            if SQUARE.search(u + ud):
                 self._cut("u-self-concat")
                 return False
         # heads of U0, U1, U2 against tails of U0, U1, U2: the shifted
@@ -319,67 +273,42 @@ class _ShiftSearcher(_SearcherBase):
         # tail(U0).  Head against head and tail against tail are distinct
         # automatically for distinct shifts.
         for r in range(self.half, k):
-            head = pu >> ((k - r) << 1)
-            mr = masks[r]
-            if head == (pu & mr) or head == (p1 & mr) or head == (p2 & mr):
+            if u[:r] in (u[k - r :], shifted[0][k - r :], shifted[1][k - r :]):
                 self._cut("u-self-headtail")
                 return False
-        self._pu_shifts = (pu, p1, p2)
+        # V0's head of length r, reversed, must miss the reversed heads and
+        # tails of length r of U0, U1, U2.
+        rev = [w[::-1] for w in (u, *shifted)]
+        self.forbid = {
+            r: frozenset([w[k - r :] for w in rev] + [w[:r] for w in rev])
+            for r in range(self.half, k)
+        }
+        self.rb1 = self.rb2 = rev[0]
         return True
 
-    def _v_setup(self):
-        k = self.k
-        masks = self.masks
-        pu, p1, p2 = self._pu_shifts
-        self.pb1 = pu
-        self.pb2 = pu
-        forbid = {}
-        for r in range(self.half, k):
-            shift_bits = (k - r) << 1
-            mr = masks[r]
-            forbid[r] = frozenset(
-                (pu >> shift_bits, p1 >> shift_bits, p2 >> shift_bits,
-                 pu & mr, p1 & mr, p2 & mr)
-            )
-        self.forbid = forbid
-
     def _place_v(self, pos: int, x: int) -> bool:
-        masks = self.masks
-        npv = (self.pv << 2) | x
-        if _suffix_square(npv, pos + 1, masks):
-            self.seq.append(x)
+        rv = LETTER_BYTES[x] + self.rv
+        if SQUARE.match(rv):
             self._cut("square-v")
-            self.seq.pop()
             return False
-        length = self.k + pos + 1
-        nb1 = (self.pb1 << 2) | ((x + 1) % 3)
-        if _suffix_square(nb1, length, masks):
-            self.seq.append(x)
+        rb1 = LETTER_BYTES[(x + 1) % 3] + self.rb1
+        if SQUARE.match(rb1):
             self._cut("cross-concat-1")
-            self.seq.pop()
             return False
-        nb2 = (self.pb2 << 2) | ((x + 2) % 3)
-        if _suffix_square(nb2, length, masks):
-            self.seq.append(x)
+        rb2 = LETTER_BYTES[(x + 2) % 3] + self.rb2
+        if SQUARE.match(rb2):
             self._cut("cross-concat-2")
-            self.seq.pop()
             return False
-        r = pos + 1
-        if r in self.forbid and npv in self.forbid[r]:
-            self.seq.append(x)
+        if rv in self.forbid.get(pos + 1, ()):
             self._cut("head-collision")
-            self.seq.pop()
             return False
-        self.pv = npv
-        self.pb1 = nb1
-        self.pb2 = nb2
-        self.v.append(x)
-        self.seq.append(x)
+        self.rv, self.rb1, self.rb2 = rv, rb1, rb2
         return True
 
     def _leaf(self):
-        u0 = Word(self.u)
-        v0 = Word(self.v)
+        k = self.k
+        u0 = Word(self.seq[:k])
+        v0 = Word(self.seq[k:])
         pair = TriplePair(
             u=(u0, shift(u0, 1), shift(u0, 2)),
             v=(v0, shift(v0, 1), shift(v0, 2)),
@@ -395,8 +324,7 @@ class _FullSearcher(_SearcherBase):
 
     def __init__(self, cfg, **kw):
         super().__init__(cfg, **kw)
-        self.letters = [[] for _ in range(self.WORDS)]
-        self.packs = [0] * self.WORDS
+        self.revs = [b""] * self.WORDS  # reversed letters of each word
 
     def _extend(self, depth: int):
         if depth == self.stop_depth:
@@ -415,37 +343,28 @@ class _FullSearcher(_SearcherBase):
         pos = depth // self.WORDS
         for x in cands:
             self._attempt()
-            if not self._place(w, pos, x):
-                continue
-            self._extend(depth + 1)
-            self.letters[w].pop()
-            self.packs[w] >>= 2
+            self.seq.append(x)
+            saved = self.revs[w]
+            if self._place(w, pos, x):
+                self._extend(depth + 1)
+            self.revs[w] = saved
             self.seq.pop()
 
     def _place(self, w: int, pos: int, x: int) -> bool:
-        nb = (self.packs[w] << 2) | x
-        if _suffix_square(nb, pos + 1, self.masks):
-            self.seq.append(x)
+        rev = LETTER_BYTES[x] + self.revs[w]
+        if SQUARE.match(rev):
             self._cut("square")
-            self.seq.pop()
             return False
-        r = pos + 1
-        if self.half <= r < self.k:
-            # words earlier in the round already have length r
-            for w2 in range(w):
-                if nb == self.packs[w2]:
-                    self.seq.append(x)
-                    self._cut("head-collision")
-                    self.seq.pop()
-                    return False
-        self.packs[w] = nb
-        self.letters[w].append(x)
-        self.seq.append(x)
+        # words earlier in the round already have length pos + 1
+        if self.half <= pos + 1 < self.k and rev in self.revs[:w]:
+            self._cut("head-collision")
+            return False
+        self.revs[w] = rev
         return True
 
     def _leaf(self):
-        words = [Word(ls) for ls in self.letters]  # file order U0,V0,U1,V1,U2,V2
-        pair = make_triple_pair(words)
+        words = [Word(self.seq[w :: self.WORDS]) for w in range(self.WORDS)]
+        pair = make_triple_pair(words)  # file order U0, V0, U1, V1, U2, V2
         if verify(pair).verdict:
             self._record(pair)
 
@@ -465,10 +384,7 @@ def _run_single(cfg: SearchConfig, prefix=(), cut_log=None) -> SearchOutcome:
 def _shard_worker(task):
     cfg, prefix = task
     out = _run_single(cfg, prefix=prefix)
-    digit_rows = [
-        tuple(str(w) for w in pair.words_in_file_order()) for pair in out.pairs_found
-    ]
-    return digit_rows, out.nodes_expanded, out.exhausted
+    return out.pairs_found, out.nodes_expanded, out.exhausted
 
 
 def _shard_prefixes(cfg: SearchConfig):
@@ -513,20 +429,20 @@ def find_pairs(config: SearchConfig) -> SearchOutcome:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover
         ctx = multiprocessing.get_context()
-    consumed = 0
-    with ctx.Pool(processes=min(config.parallel_shards, len(prefixes))) as pool:
+    workers = min(config.parallel_shards, len(prefixes), os.cpu_count() or 1)
+    with ctx.Pool(processes=workers) as pool:
         stream = pool.imap(_shard_worker, [(config, p) for p in prefixes])
-        for digit_rows, shard_nodes, shard_exhausted in stream:
-            consumed += 1
+        for pairs, shard_nodes, shard_exhausted in stream:
             nodes += shard_nodes
             if not shard_exhausted:
                 exhausted = False
-            for row in digit_rows:
+            for pair in pairs:
                 if config.canonical:
-                    if row in seen:
+                    key = _pair_key(pair)
+                    if key in seen:
                         continue
-                    seen.add(row)
-                results.append(make_triple_pair([parse_word(t) for t in row]))
+                    seen.add(key)
+                results.append(pair)
                 limit = config.max_results
                 if limit is not None and len(results) >= limit:
                     truncated = True

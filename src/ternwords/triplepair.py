@@ -12,8 +12,8 @@ Substituting U_x or V_x for each letter x of a square-free word then always
 yields a square-free word, which is what makes these pairs useful for
 counting bounds (see the morphism module).
 
-``verify`` evaluates both conditions exhaustively, using the reference
-square scan from the words module, and returns a Certificate that records
+``verify`` evaluates both conditions exhaustively, using ``find_square``
+from the words module, and returns a Certificate that records
 every individual check.  ``certificate_text`` renders it in a fixed
 line-oriented format suitable for golden-file comparison.
 """
@@ -141,7 +141,7 @@ def concatenation_words(tp: TriplePair) -> list:
 
 
 def check_concatenations(tp: TriplePair) -> list:
-    """Run the reference square scan over all 24 concatenations."""
+    """Run find_square over all 24 concatenations."""
     return [ConcatCheck(label, find_square(w)) for label, w in concatenation_words(tp)]
 
 

@@ -1,19 +1,27 @@
 """Ternary words over {0, 1, 2} and square (xx) factor detection.
 
 A square is a factor of the form xx with x non-empty; a word with no
-square factor is square-free.  Two deliberately independent detectors are
-kept side by side:
+square factor is square-free.  Every square test in the package runs the
+one compiled pattern ``SQUARE`` over the letters as bytes:
 
-* ``find_square`` scans every (start, period) pair and is the reference
-  oracle.  Its cost may be cubic; it is meant to be obviously correct.
-* ``ends_with_square`` looks only at squares that finish at the last
-  letter.  A word is square-free iff no prefix of it ends with a square,
-  which is the fact the enumerator and the pair search build on.
+* ``SQUARE.search`` tries start positions left to right, and its lazy
+  group tries periods shortest first, so the first hit is the square with
+  the smallest start, then the smallest period.  ``find_square`` reports it.
+* A square that ends at the last letter of w is a square prefix of w
+  reversed, so ``SQUARE.match`` on the reversed letters answers
+  ``ends_with_square``.  A word is square-free iff no prefix of it ends
+  with a square, which is the fact the enumerator and the pair search build
+  on: they grow words as reversed byte strings, one letter in front at a
+  time, and match each new string.
+
+``_find_square_scan`` is the plain (start, period) scan, kept only as the
+oracle the tests hold the pattern against.
 
 Counting and enumeration of square-free words grow prefixes depth first
 and never touch the 3^n full space.
 """
 
+import re
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -32,6 +40,12 @@ __all__ = [
 ]
 
 ALPHABET = (0, 1, 2)
+
+# The package's one square test; the module docstring says how it is used.
+SQUARE = re.compile(rb"(.+?)\1", re.DOTALL)
+
+# One-byte strings of the letters, for prepending to reversed buffers.
+LETTER_BYTES = tuple(bytes((a,)) for a in ALPHABET)
 
 
 class ParseError(ValueError):
@@ -122,11 +136,17 @@ def parse_word(text: str) -> Word:
 
 
 def find_square(w: Word) -> "SquareWitness | None":
-    """Reference square scan.
+    """The square with the smallest start, then the smallest period, or None
+    when the word is square-free."""
+    m = SQUARE.search(bytes(w.letters))
+    if m is None:
+        return None
+    return SquareWitness(m.start(), m.end(1) - m.start())
 
-    Returns the witness with the smallest start, then the smallest period,
-    or None when the word is square-free.
-    """
+
+def _find_square_scan(w: Word) -> "SquareWitness | None":
+    """Reference oracle for ``find_square``: compare the halves of every
+    (start, period) pair in that order.  Cubic; only tests call it."""
     ls = w.letters
     n = len(ls)
     for start in range(n):
@@ -142,12 +162,7 @@ def is_square_free(w: Word) -> bool:
 
 def ends_with_square(w: Word) -> bool:
     """True when some square ends exactly at the last letter."""
-    ls = w.letters
-    n = len(ls)
-    for p in range(1, n // 2 + 1):
-        if ls[n - 2 * p : n - p] == ls[n - p :]:
-            return True
-    return False
+    return SQUARE.match(bytes(w.letters[::-1])) is not None
 
 
 def shift(w: Word, c: int) -> Word:
@@ -163,23 +178,6 @@ def reverse(w: Word) -> Word:
     return Word._wrap(w.letters[::-1])
 
 
-def _extends_square_free(buf: list, length: int, x: int) -> bool:
-    """True when appending x to the square-free prefix buf[:length] keeps it square-free.
-
-    Only squares ending at the new last position can appear, so only the
-    periods p with buf[length-p] == x need a full half-against-half compare.
-    """
-    for p in range(1, (length + 1) // 2 + 1):
-        if buf[length - p] != x:
-            continue
-        for t in range(1, p):
-            if buf[length - t] != buf[length - p - t]:
-                break
-        else:
-            return False
-    return True
-
-
 def count_square_free(n: int) -> int:
     """Number of square-free words of length n (1 for the empty word).
 
@@ -192,47 +190,36 @@ def count_square_free(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
-    if n == 0:
-        return 1
-    if n == 1:
-        return 3
-    buf = [0] * n
-    buf[0], buf[1] = 0, 1
-    total = 0
+    if n < 2:
+        return 3**n
+    match = SQUARE.match
 
-    def grow(depth: int):
-        nonlocal total
-        if depth == n:
-            total += 1
-            return
-        prev = buf[depth - 1]
-        for x in (0, 1, 2):
-            if x == prev:
-                continue
-            if _extends_square_free(buf, depth, x):
-                buf[depth] = x
-                grow(depth + 1)
+    def grow(rev: bytes) -> int:
+        if len(rev) == n:
+            return 1
+        total = 0
+        for a in LETTER_BYTES:
+            ext = a + rev
+            if match(ext) is None:
+                total += grow(ext)
+        return total
 
-    grow(2)
-    return 6 * total
+    return 6 * grow(b"\x01\x00")  # the word 0, 1 reversed
 
 
 def enumerate_square_free(n: int) -> Iterator[Word]:
     """Yield every square-free word of length n in lexicographic order (0 < 1 < 2)."""
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
-    if n == 0:
-        yield Word._wrap(())
-        return
-    buf = [0] * n
+    match = SQUARE.match
 
-    def grow(depth: int):
-        if depth == n:
-            yield Word._wrap(tuple(buf))
+    def grow(rev: bytes):
+        if len(rev) == n:
+            yield Word._wrap(tuple(rev[::-1]))
             return
-        for x in (0, 1, 2):
-            if _extends_square_free(buf, depth, x):
-                buf[depth] = x
-                yield from grow(depth + 1)
+        for a in LETTER_BYTES:
+            ext = a + rev
+            if match(ext) is None:
+                yield from grow(ext)
 
-    yield from grow(0)
+    yield from grow(b"")

@@ -266,6 +266,19 @@ class TestExpandVerify:
     def test_negative_n(self, capsys, pair_file):
         assert run(["expand-verify", pair_file, "--n", "-1"], capsys)[0] == 2
 
+    def test_huge_n_is_rejected_before_counting(self, pair_file):
+        # a(60) alone would take hours to count; 2^60 already exceeds the budget
+        proc = subprocess.run(
+            [sys.executable, "-m", "ternwords", "expand-verify", pair_file, "--n", "60"],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=10,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "exceeds budget" in proc.stderr
+
 
 def _child_env():
     """Environment in which a child process imports the ternwords under test."""

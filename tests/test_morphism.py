@@ -10,7 +10,6 @@ from ternwords import (
     ExpansionBudgetError,
     TriplePair,
     Word,
-    counting_inequality_check,
     enumerate_square_free,
     is_square_free,
     lower_bound,
@@ -104,22 +103,25 @@ class TestVerifyExpansion:
 
 
 class TestCountingInequality:
+    """a(n*k) >= 2^n * a(n): the 2^n * a(n) images are distinct and
+    square-free exactly when verify_expansion reports both flags true."""
+
     def test_empty_case(self, builtin):
-        report = counting_inequality_check(builtin, 0)
-        assert report.lhs_lower == 1
-        assert report.distinct_outputs == 1
-        assert report.confirmed
+        report = verify_expansion(builtin, 0)
+        assert report.total == 1
+        assert report.all_square_free
+        assert report.all_distinct
 
     @pytest.mark.parametrize("n,expected", [(1, 6), (2, 24)])
     def test_small_lengths(self, builtin, n, expected):
-        report = counting_inequality_check(builtin, n)
-        assert report.lhs_lower == expected
-        assert report.distinct_outputs == expected
-        assert report.confirmed
+        report = verify_expansion(builtin, n)
+        assert report.total == expected
+        assert report.all_square_free
+        assert report.all_distinct
 
     def test_unverified_pair_rejected(self):
         with pytest.raises(ValueError, match="fails verification"):
-            counting_inequality_check(unverified_pair(), 1)
+            verify_expansion(unverified_pair(), 1)
 
 
 class TestLowerBound:

@@ -1,6 +1,8 @@
 """Search: configuration, prune soundness, canonical forms, completeness."""
 
 import itertools
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -11,7 +13,6 @@ from ternwords import (
     Word,
     builtin_pair,
     canonicalize,
-    ends_with_square,
     enumerate_square_free,
     find_pairs,
     prune_check,
@@ -19,13 +20,7 @@ from ternwords import (
     shift,
     verify,
 )
-from ternwords.search import (
-    _pack,
-    _run_single,
-    _shard_prefixes,
-    _square_ending_in,
-    _suffix_square,
-)
+from ternwords.search import _run_single, _shard_prefixes
 
 # The complete set of canonical shift-symmetric 18-pairs (U0, V0 digits),
 # pinned from the exhaustive run; test_exhaustive_set_matches re-derives it.
@@ -119,31 +114,6 @@ class TestPruneCheck:
                     full = seq + rest
                     tp = symmetric_pair(Word(full[:3]), Word(full[3:]))
                     assert not verify(tp).verdict, (seq, rest)
-
-
-class TestPackedKernels:
-    def test_suffix_square_matches_reference(self):
-        rng = random.Random(3711)
-        masks = [(1 << (2 * p)) - 1 for p in range(64)]
-        for _ in range(2000):
-            n = rng.randint(1, 24)
-            letters = [rng.randrange(3) for _ in range(n)]
-            assert _suffix_square(_pack(letters), n, masks) == ends_with_square(
-                Word(letters)
-            )
-
-    def test_square_ending_in_matches_reference(self):
-        rng = random.Random(9062)
-        masks = [(1 << (2 * p)) - 1 for p in range(64)]
-        for _ in range(500):
-            n = rng.randint(2, 20)
-            lo = rng.randint(0, n - 1)
-            letters = [rng.randrange(3) for _ in range(n)]
-            w = Word(letters)
-            expected = any(
-                ends_with_square(w[:end]) for end in range(lo + 1, n + 1)
-            )
-            assert _square_ending_in(_pack(letters), n, lo, masks) == expected
 
 
 class TestCanonicalize:
@@ -315,6 +285,51 @@ class TestSharding:
             assert len({len(p) for p in prefixes}) == 1  # one fixed depth
             assert prefixes == sorted(prefixes)
             assert len(set(prefixes)) == len(prefixes)
+
+
+class TestShardPool:
+    """The pool is sized from the shards, the prefixes and the CPUs.
+
+    An in-process stand-in replaces the fork context's Pool, so these tests
+    start no worker process at all.
+    """
+
+    @pytest.fixture()
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InlinePool)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "shards,cpus,workers", [(50, 3, 3), (50, None, 1), (2, 8, 2)]
+    )
+    def test_workers_capped(self, monkeypatch, pool_sizes, shards, cpus, workers):
+        cfg = SearchConfig(k=18, first_letter=None, parallel_shards=shards)
+        prefixes, _ = _shard_prefixes(cfg)
+        assert len(prefixes) > max(shards, workers)  # only the cap limits the pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 10**6)
+        uncapped = find_pairs(cfg)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        capped = find_pairs(cfg)
+        assert pool_sizes == [shards, workers]
+        # the cap changes neither the shards nor what they find
+        assert capped == uncapped
+        assert capped.exhausted
+        assert base_digits(capped) == list(K18_CANONICAL)
 
 
 class TestCutLogAdmissibility:

@@ -1,4 +1,4 @@
-"""Word layer: parsing, the two square detectors, counting, enumeration."""
+"""Word layer: parsing, the square pattern against its oracle, counting, enumeration."""
 
 import itertools
 import random
@@ -20,6 +20,7 @@ from ternwords import (
     reverse,
     shift,
 )
+from ternwords.words import _find_square_scan
 
 # a(0) .. a(14), cross-checked against the brute-force filter over all 3^n
 # words (test_counts_match_brute_force repeats that check up to n=10).
@@ -30,6 +31,8 @@ COUNTS = (1, 3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264, 342, 456)
 COUNTS_TAIL = (618, 798, 1044, 1392, 1830, 2388)
 
 LETTER = st.sampled_from([0, 1, 2])
+
+SQUARE_FREE_12 = tuple(enumerate_square_free(12))
 
 
 def brute_square(letters) -> bool:
@@ -144,6 +147,35 @@ class TestFindSquare:
                 assert letters[s : s + p] == letters[s + p : s + 2 * p]
 
 
+class TestKernelAgainstOracle:
+    """The compiled pattern behind find_square and ends_with_square against
+    the cubic (start, period) scan."""
+
+    def test_exhaustive_up_to_length_10(self):
+        for n in range(0, 11):
+            for tup in itertools.product((0, 1, 2), repeat=n):
+                w = Word._wrap(tup)
+                assert find_square(w) == _find_square_scan(w), tup
+                # a square ends at the last letter of w exactly when one
+                # starts at the first letter of w reversed, and the oracle
+                # reports the smallest start
+                witness = _find_square_scan(reverse(w))
+                assert ends_with_square(w) == (
+                    witness is not None and witness.start == 0
+                ), tup
+
+    @given(st.lists(LETTER, max_size=80))
+    def test_random_words(self, letters):
+        w = Word(letters)
+        assert find_square(w) == _find_square_scan(w)
+
+    @given(st.sampled_from(SQUARE_FREE_12), st.sampled_from(SQUARE_FREE_12))
+    def test_joined_square_free_words(self, a, b):
+        # any square here crosses the seam, often with a long period
+        w = a + b
+        assert find_square(w) == _find_square_scan(w)
+
+
 class TestIsSquareFree:
     def test_examples(self):
         assert is_square_free(Word([0, 1, 2, 0, 2, 1]))
@@ -200,7 +232,7 @@ class TestCounting:
             brute = sum(
                 1
                 for tup in itertools.product((0, 1, 2), repeat=n)
-                if find_square(Word._wrap(tup)) is None
+                if _find_square_scan(Word._wrap(tup)) is None
             )
             assert count_square_free(n) == brute
 
@@ -248,13 +280,14 @@ class TestEnumeration:
         assert len(words) == COUNTS[7]
 
     def test_matches_brute_filter(self):
-        for n in range(0, 8):
-            brute = {
+        # product yields lexicographic order, so the lists match in order too
+        for n in range(0, 9):
+            brute = [
                 tup
                 for tup in itertools.product((0, 1, 2), repeat=n)
-                if find_square(Word._wrap(tup)) is None
-            }
-            assert {w.letters for w in enumerate_square_free(n)} == brute
+                if _find_square_scan(Word._wrap(tup)) is None
+            ]
+            assert [w.letters for w in enumerate_square_free(n)] == brute
 
     def test_counts_agree(self):
         for n in range(0, 11):
