@@ -307,8 +307,8 @@ class _ShiftSearcher(_SearcherBase):
 
     def _leaf(self):
         k = self.k
-        u0 = Word(self.seq[:k])
-        v0 = Word(self.seq[k:])
+        u0 = Word._wrap(tuple(self.seq[:k]))  # letters come from (0, 1, 2)
+        v0 = Word._wrap(tuple(self.seq[k:]))
         pair = TriplePair(
             u=(u0, shift(u0, 1), shift(u0, 2)),
             v=(v0, shift(v0, 1), shift(v0, 2)),
@@ -363,7 +363,7 @@ class _FullSearcher(_SearcherBase):
         return True
 
     def _leaf(self):
-        words = [Word(self.seq[w :: self.WORDS]) for w in range(self.WORDS)]
+        words = [Word._wrap(tuple(self.seq[w :: self.WORDS])) for w in range(self.WORDS)]
         pair = make_triple_pair(words)  # file order U0, V0, U1, V1, U2, V2
         if verify(pair).verdict:
             self._record(pair)
@@ -388,19 +388,29 @@ def _shard_worker(task):
 
 
 def _shard_prefixes(cfg: SearchConfig):
-    """Prefixes of the assignment sequence at the shallowest depth that
-    yields enough disjoint shards, in lexicographic order."""
+    """Prefixes of the assignment sequence to shard on, in lexicographic
+    order, and the node count of the scan that listed them.
+
+    The scan lists the prefixes at depth 1, 2, ... and stops at the first
+    depth with at least four prefixes per shard.  A depth whose frontier is
+    no wider than the one before also stops it, and the wider frontier
+    before it is used: deeper scans cost more nodes and, as the tree
+    narrows, need not give more shards.
+    """
     target = cfg.parallel_shards * 4
     total_depth = 2 * cfg.k if cfg.shift_symmetry else 6 * cfg.k
     scan_cfg = replace(cfg, node_budget=None)
-    depth = 1
-    while True:
+    best, best_nodes = [], 0
+    for depth in range(1, total_depth + 1):
         found = []
         s = _new_searcher(scan_cfg, stop_depth=depth, collector=found.append)
         s.run()
-        if len(found) >= target or depth >= total_depth or not found:
-            return found, s.nodes
-        depth += 1
+        if len(found) <= len(best):
+            break
+        best, best_nodes = found, s.nodes
+        if len(found) >= target:
+            break
+    return best, best_nodes
 
 
 def find_pairs(config: SearchConfig) -> SearchOutcome:

@@ -12,15 +12,27 @@ Substituting U_x or V_x for each letter x of a square-free word then always
 yields a square-free word, which is what makes these pairs useful for
 counting bounds (see the morphism module).
 
-``verify`` evaluates both conditions exhaustively, using ``find_square``
-from the words module, and returns a Certificate that records
-every individual check.  ``certificate_text`` renders it in a fixed
-line-oriented format suitable for golden-file comparison.
+``verify`` evaluates both conditions exhaustively and returns a
+Certificate that records every individual check.  ``certificate_text``
+renders it in a fixed line-oriented format suitable for golden-file
+comparison.
+
+Both checks read the six words once as byte strings.  Each concatenation's
+witness comes from ``find_square`` of the words module, through a bounded
+cache keyed by the concatenation relabelled by the cyclic letter shift that
+makes its first letter 0.  A letter bijection maps every factor xx to a
+factor of the same start and period and back, so a word and its shifts have
+the same witness (smallest start, then smallest period), and one cache
+entry serves all three.  The pair search verifies many leaves that share
+U0 and all of whose other words are shifts of U0 and V0, so most lookups
+hit.  The head/tail check tests each length r with one set of the 12
+factors and scans pairs in report order only when two of them coincide.
 """
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .words import (
     ParseError,
@@ -28,8 +40,6 @@ from .words import (
     Word,
     find_square,
     parse_word,
-    reverse,
-    shift,
 )
 
 __all__ = [
@@ -129,20 +139,49 @@ class HeadTailCheck:
         return self.collision is None
 
 
+# The 24 concatenations in emission order: the file-order slots (U0, V0,
+# U1, V1, U2, V2 are 0..5) of the two halves, and the shared passing check.
+_CONCAT_PLAN = tuple(
+    (2 * i + (x == "V"), 2 * j + (y == "V"), ConcatCheck(f"{i}{x}{j}{y}", None))
+    for i, j in CONCAT_INDEX_PAIRS
+    for x, y in CONCAT_CHOICES
+)
+
+# _ADD[c] adds c to every letter mod 3 under bytes.translate.
+_ADD = tuple(bytes.maketrans(b"\0\1\2", bytes((c, (1 + c) % 3, (2 + c) % 3))) for c in range(3))
+
+
 def concatenation_words(tp: TriplePair) -> list:
     """The 24 labelled length-2k concatenations, in the fixed emission order."""
+    words = tp.words_in_file_order()
+    return [(c.label, words[a] + words[b]) for a, b, c in _CONCAT_PLAN]
+
+
+def _letter_bytes(tp: TriplePair) -> tuple:
+    """The six words in file order, as byte strings of their letters."""
+    return tuple(bytes(w.letters) for w in tp.words_in_file_order())
+
+
+@functools.lru_cache(maxsize=4096)
+def _normalized_witness(letters: bytes) -> "SquareWitness | None":
+    # letters starts with 0; the module docstring says why this key is enough.
+    return find_square(Word._wrap(tuple(letters)))
+
+
+def _concat_checks(ws: tuple) -> list:
     out = []
-    for i, j in CONCAT_INDEX_PAIRS:
-        for choice in CONCAT_CHOICES:
-            first = tp.u[i] if choice[0] == "U" else tp.v[i]
-            second = tp.u[j] if choice[1] == "U" else tp.v[j]
-            out.append((f"{i}{choice[0]}{j}{choice[1]}", first + second))
+    for a, b, passed in _CONCAT_PLAN:
+        w = ws[a] + ws[b]
+        if w[0]:
+            w = w.translate(_ADD[3 - w[0]])
+        witness = _normalized_witness(w)
+        out.append(passed if witness is None else ConcatCheck(passed.label, witness))
     return out
 
 
 def check_concatenations(tp: TriplePair) -> list:
-    """Run find_square over all 24 concatenations."""
-    return [ConcatCheck(label, find_square(w)) for label, w in concatenation_words(tp)]
+    """The square witness of each of the 24 concatenations, in emission order."""
+    return _concat_checks(_letter_bytes(tp))
 
 
 def head_tail_range(k: int) -> range:
@@ -159,21 +198,30 @@ def heads_and_tails(tp: TriplePair, r: int) -> list:
     return [w[:r] for w in sources] + [w[len(w) - r :] for w in sources]
 
 
-def check_head_tail_condition(tp: TriplePair) -> list:
-    """Pairwise distinctness of the 12 heads and tails, for every r in range."""
+def _headtail_checks(ws: tuple, k: int) -> list:
+    u0, v0, u1, v1, u2, v2 = ws
     out = []
-    for r in head_tail_range(tp.k):
-        items = heads_and_tails(tp, r)
+    for r in head_tail_range(k):
+        t = k - r
+        items = (
+            u0[:r], u1[:r], u2[:r], v0[:r], v1[:r], v2[:r],
+            u0[t:], u1[t:], u2[t:], v0[t:], v1[t:], v2[t:],
+        )  # in HEADTAIL_LABELS order
         collision = None
-        for a in range(12):
-            for b in range(a + 1, 12):
-                if items[a] == items[b]:
-                    collision = (HEADTAIL_LABELS[a], HEADTAIL_LABELS[b])
-                    break
-            if collision is not None:
-                break
+        if len(set(items)) < 12:
+            collision = next(
+                (HEADTAIL_LABELS[a], HEADTAIL_LABELS[b])
+                for a in range(12)
+                for b in range(a + 1, 12)
+                if items[a] == items[b]
+            )
         out.append(HeadTailCheck(r=r, collision=collision))
     return out
+
+
+def check_head_tail_condition(tp: TriplePair) -> list:
+    """Pairwise distinctness of the 12 heads and tails, for every r in range."""
+    return _headtail_checks(_letter_bytes(tp), tp.k)
 
 
 @dataclass(frozen=True)
@@ -199,14 +247,17 @@ class Certificate:
 
 def verify(tp: TriplePair) -> Certificate:
     """Evaluate both defining conditions exhaustively."""
+    ws = _letter_bytes(tp)
+    u0, v0 = ws[0], ws[1]
     sym = all(
-        shift(tp.u[0], c) == tp.u[c] and shift(tp.v[0], c) == tp.v[c] for c in (1, 2)
+        ws[2 * c] == u0.translate(_ADD[c]) and ws[2 * c + 1] == v0.translate(_ADD[c])
+        for c in (1, 2)
     )
-    pal = reverse(tp.u[0]) == tp.u[0] and reverse(tp.v[0]) == tp.v[0]
+    pal = u0 == u0[::-1] and v0 == v0[::-1]
     return Certificate(
         k=tp.k,
-        concat_results=tuple(check_concatenations(tp)),
-        headtail_results=tuple(check_head_tail_condition(tp)),
+        concat_results=tuple(_concat_checks(ws)),
+        headtail_results=tuple(_headtail_checks(ws, tp.k)),
         shift_symmetric=sym,
         palindromic_base=pal,
     )

@@ -4,6 +4,7 @@ import itertools
 import multiprocessing
 import os
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +21,8 @@ from ternwords import (
     shift,
     verify,
 )
-from ternwords.search import _run_single, _shard_prefixes
+from ternwords import search
+from ternwords.search import _new_searcher, _run_single, _shard_prefixes
 
 # The complete set of canonical shift-symmetric 18-pairs (U0, V0 digits),
 # pinned from the exhaustive run; test_exhaustive_set_matches re-derives it.
@@ -224,6 +226,24 @@ class TestK18:
             for tp in classes
         } == set(K18_CANONICAL)
 
+    @pytest.mark.parametrize(
+        "max_results,nodes,verify_calls", [(1, 1139, 8), (None, 4864, 56)]
+    )
+    def test_pinned_node_and_leaf_counts(self, monkeypatch, max_results, nodes, verify_calls):
+        # verify runs once per leaf and once more per emitted canonical pair:
+        # 7 + 1 on the first hit, 54 + 2 exhaustively.  A leaf screen that
+        # skips verify must change these numbers on purpose.
+        calls = []
+
+        def counting_verify(tp):
+            calls.append(tp)
+            return verify(tp)
+
+        monkeypatch.setattr(search, "verify", counting_verify)
+        outcome = find_pairs(SearchConfig(k=18, first_letter=2, max_results=max_results))
+        assert outcome.nodes_expanded == nodes
+        assert len(calls) == verify_calls
+
     def test_deterministic_across_runs(self):
         cfg = SearchConfig(k=18, first_letter=None)
         assert find_pairs(cfg).pairs_found == find_pairs(cfg).pairs_found
@@ -330,6 +350,37 @@ class TestShardPool:
         assert capped == uncapped
         assert capped.exhausted
         assert base_digits(capped) == list(K18_CANONICAL)
+
+    def test_scan_stops_when_the_frontier_stops_growing(self, monkeypatch, pool_sizes):
+        cfg = SearchConfig(k=18, first_letter=None, parallel_shards=1000)
+        scans = []
+
+        def counting_searcher(c, **kw):
+            scans.append(kw.get("stop_depth"))
+            return _new_searcher(c, **kw)
+
+        monkeypatch.setattr(search, "_new_searcher", counting_searcher)
+        prefixes, _ = _shard_prefixes(cfg)
+        depth = len(prefixes[0])
+        assert scans == list(range(1, depth + 2))  # one scan past the widest
+
+        def frontier(d):
+            found = []
+            _new_searcher(cfg, stop_depth=d, collector=found.append).run()
+            return found
+
+        widths = [len(frontier(d)) for d in range(1, depth + 2)]
+        assert widths[:-1] == sorted(set(widths[:-1]))  # grew at every depth
+        assert widths[-1] <= widths[-2]
+        assert len(prefixes) < 4 * cfg.parallel_shards
+        assert prefixes == frontier(depth)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        sharded = find_pairs(cfg)
+        assert pool_sizes == [2]
+        assert sharded.exhausted
+        assert sharded.nodes_expanded == 39648  # 14592 on one process
+        assert sharded.pairs_found == find_pairs(replace(cfg, parallel_shards=1)).pairs_found
 
 
 class TestCutLogAdmissibility:

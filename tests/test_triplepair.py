@@ -3,6 +3,8 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ternwords import (
     ParseError,
@@ -25,6 +27,8 @@ from ternwords import (
     shift,
     verify,
 )
+from ternwords.triplepair import HEADTAIL_LABELS, _normalized_witness
+from ternwords.words import _find_square_scan, enumerate_square_free
 
 DATA = Path(__file__).parent / "data"
 
@@ -317,3 +321,103 @@ class TestPairFiles:
     def test_read_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_pair_file(tmp_path / "absent.txt")
+
+
+def reference_certificate(tp: TriplePair) -> str:
+    """The certificate text built from the oracle square scan over Words and
+    the ordered pairwise head/tail scan, independent of verify's fast paths."""
+    slot = {"U": tp.u, "V": tp.v}
+    concats = [
+        (label, slot[label[1]][int(label[0])] + slot[label[3]][int(label[2])])
+        for label in CONCAT_LABELS
+    ]
+    assert concatenation_words(tp) == concats
+    lines = [f"k={tp.k}"]
+    verdict = True
+    for label, w in concats:
+        witness = _find_square_scan(w)
+        if witness is None:
+            lines.append(f"CONCAT {label} PASS")
+        else:
+            verdict = False
+            lines.append(f"CONCAT {label} FAIL square@{witness.start} period={witness.period}")
+    for r in head_tail_range(tp.k):
+        items = heads_and_tails(tp, r)
+        collision = next(
+            (
+                (HEADTAIL_LABELS[a], HEADTAIL_LABELS[b])
+                for a in range(12)
+                for b in range(a + 1, 12)
+                if items[a] == items[b]
+            ),
+            None,
+        )
+        if collision is None:
+            lines.append(f"HEADTAIL r={r} PASS")
+        else:
+            verdict = False
+            lines.append(f"HEADTAIL r={r} FAIL {collision[0]}={collision[1]}")
+    sym = all(shift(tp.u[0], c) == tp.u[c] and shift(tp.v[0], c) == tp.v[c] for c in (1, 2))
+    pal = reverse(tp.u[0]) == tp.u[0] and reverse(tp.v[0]) == tp.v[0]
+    lines.append(f"SHIFTSYM {'true' if sym else 'false'}")
+    lines.append(f"PALINDROME {'true' if pal else 'false'}")
+    lines.append(f"VERDICT {'PASS' if verdict else 'FAIL'}")
+    return "\n".join(lines) + "\n"
+
+
+def symmetric_pairs(k: int):
+    words = list(enumerate_square_free(k))
+    for u0 in words:
+        for v0 in words:
+            yield TriplePair(
+                u=(u0, shift(u0, 1), shift(u0, 2)),
+                v=(v0, shift(v0, 1), shift(v0, 2)),
+            )
+
+
+@st.composite
+def six_words(draw):
+    """Six words of one length k in 2..14.  Each slot is a fresh word, a
+    copy of an earlier slot, or a shift of one, so head/tail collisions and
+    shift-equivalent concatenations (witness cache hits) both occur."""
+    k = draw(st.integers(2, 14))
+    letters = st.lists(st.integers(0, 2), min_size=k, max_size=k)
+    words = []
+    for _ in range(6):
+        kind = draw(st.sampled_from(("fresh", "copy", "shift")) if words else st.just("fresh"))
+        if kind == "fresh":
+            words.append(Word(draw(letters)))
+        else:
+            w = draw(st.sampled_from(words))
+            words.append(w if kind == "copy" else shift(w, draw(st.sampled_from((1, 2)))))
+    return make_triple_pair(words)
+
+
+class TestVerifyAgainstOracle:
+    """verify's byte-level checks and witness cache give the oracle's certificate."""
+
+    def test_witness_cache_is_bounded(self):
+        assert _normalized_witness.cache_info().maxsize == 4096
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_every_symmetric_pair_up_to_k5(self, k):
+        for tp in symmetric_pairs(k):
+            assert certificate_text(verify(tp)) == reference_certificate(tp), tp
+
+    @settings(max_examples=300, deadline=None)
+    @given(six_words())
+    def test_arbitrary_six_words(self, tp):
+        assert certificate_text(verify(tp)) == reference_certificate(tp)
+
+    def test_cold_and_warm_cache(self, builtin):
+        pairs = [builtin, tiny_pair(), *symmetric_pairs(4)]
+        expected = [reference_certificate(tp) for tp in pairs]
+        _normalized_witness.cache_clear()
+        cold = [certificate_text(verify(tp)) for tp in pairs]
+        misses = _normalized_witness.cache_info().misses
+        warm = [certificate_text(verify(tp)) for tp in pairs]
+        info = _normalized_witness.cache_info()
+        assert cold == expected
+        assert warm == expected
+        assert info.misses == misses  # the second pass is served from the cache
+        assert info.hits >= 24 * len(pairs)
