@@ -1,92 +1,11 @@
 """Ternary square-free words, Brinkhuis triple-pairs, and growth bounds."""
 
-from .words import (
-    ALPHABET,
-    ParseError,
-    SquareWitness,
-    Word,
-    count_square_free,
-    ends_with_square,
-    enumerate_square_free,
-    find_square,
-    is_square_free,
-    parse_word,
-    reverse,
-    shift,
-)
-from .triplepair import (
-    Certificate,
-    ConcatCheck,
-    HeadTailCheck,
-    TriplePair,
-    builtin_pair,
-    certificate_text,
-    check_concatenations,
-    check_head_tail_condition,
-    concatenation_words,
-    head_tail_range,
-    heads_and_tails,
-    make_triple_pair,
-    pair_text,
-    parse_pair_text,
-    read_pair_file,
-    verify,
-)
-from .morphism import (
-    DEFAULT_EXPANSION_BUDGET,
-    BoundReport,
-    ExpansionBudgetError,
-    ExpansionReport,
-    lower_bound,
-    parse_choices,
-    substitute,
-    verify_expansion,
-)
-from .search import SearchConfig, SearchOutcome, canonicalize, find_pairs, prune_check
+from . import morphism, search, triplepair, words
+from .words import *  # noqa: F401,F403
+from .triplepair import *  # noqa: F401,F403
+from .morphism import *  # noqa: F401,F403
+from .search import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALPHABET",
-    "ParseError",
-    "SquareWitness",
-    "Word",
-    "parse_word",
-    "find_square",
-    "is_square_free",
-    "ends_with_square",
-    "shift",
-    "reverse",
-    "count_square_free",
-    "enumerate_square_free",
-    "TriplePair",
-    "Certificate",
-    "ConcatCheck",
-    "HeadTailCheck",
-    "make_triple_pair",
-    "concatenation_words",
-    "check_concatenations",
-    "head_tail_range",
-    "heads_and_tails",
-    "check_head_tail_condition",
-    "verify",
-    "certificate_text",
-    "builtin_pair",
-    "parse_pair_text",
-    "read_pair_file",
-    "pair_text",
-    "BoundReport",
-    "ExpansionReport",
-    "ExpansionBudgetError",
-    "DEFAULT_EXPANSION_BUDGET",
-    "lower_bound",
-    "parse_choices",
-    "substitute",
-    "verify_expansion",
-    "SearchConfig",
-    "SearchOutcome",
-    "find_pairs",
-    "prune_check",
-    "canonicalize",
-    "__version__",
-]
+__all__ = [*words.__all__, *triplepair.__all__, *morphism.__all__, *search.__all__, "__version__"]

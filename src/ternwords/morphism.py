@@ -68,11 +68,8 @@ def substitute(tp: TriplePair, x: Word, choices: str) -> Word:
     ch = parse_choices(choices)
     if len(ch) != len(x):
         raise ValueError(f"choice string length {len(ch)} does not match word length {len(x)}")
-    letters = []
-    for a, c in zip(x.letters, ch):
-        block = tp.u[a] if c == "U" else tp.v[a]
-        letters.extend(block.letters)
-    return Word(letters)
+    u, v = [bytes(w) for w in tp.u], [bytes(w) for w in tp.v]
+    return Word._wrap(b"".join(u[a] if c == "U" else v[a] for a, c in zip(bytes(x), ch)))
 
 
 @dataclass(frozen=True)
@@ -126,7 +123,7 @@ def verify_expansion(tp: TriplePair, n: int, budget: int = DEFAULT_EXPANSION_BUD
         produced += 1
         if all_sf and not is_square_free(img):
             all_sf = False
-        seen.add(img.letters)
+        seen.add(img)
     assert produced == total
     return ExpansionReport(total=total, all_square_free=all_sf, all_distinct=len(seen) == total)
 

@@ -33,7 +33,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, replace
 
-from .words import LETTER_BYTES, SQUARE, Word, is_square_free, shift
+from .words import LETTER_BYTES, SHIFT_TABLES, SQUARE, Word, is_square_free, shift
 from .triplepair import TriplePair, make_triple_pair, verify
 
 __all__ = ["SearchConfig", "SearchOutcome", "find_pairs", "prune_check", "canonicalize"]
@@ -79,28 +79,17 @@ def canonicalize(tp: TriplePair) -> TriplePair:
 
     The orbit combines the three global letter shifts with the matching
     index rotation and the eight per-index U/V swaps; the representative
-    minimizes the letter sequence U0 V0 U1 V1 U2 V2.
+    minimizes the words in the order U0 V0 U1 V1 U2 V2, which all have
+    length k, so it also minimizes their concatenated letters.
     """
-    best = None
-    best_key = None
+    orbit = []
     for c in (0, 1, 2):
         u = [shift(tp.u[(i - c) % 3], c) for i in range(3)]
         v = [shift(tp.v[(i - c) % 3], c) for i in range(3)]
         for mask in range(8):
-            uu = list(u)
-            vv = list(v)
-            for i in range(3):
-                if (mask >> i) & 1:
-                    uu[i], vv[i] = vv[i], uu[i]
-            key = (
-                uu[0].letters + vv[0].letters
-                + uu[1].letters + vv[1].letters
-                + uu[2].letters + vv[2].letters
-            )
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (tuple(uu), tuple(vv))
-    return TriplePair(u=best[0], v=best[1])
+            rows = [(v[i], u[i]) if mask >> i & 1 else (u[i], v[i]) for i in range(3)]
+            orbit.append(rows[0] + rows[1] + rows[2])
+    return make_triple_pair(min(orbit))
 
 
 def prune_check(config: SearchConfig, letters) -> bool:
@@ -144,10 +133,6 @@ def prune_check(config: SearchConfig, letters) -> bool:
     return True
 
 
-def _pair_key(pair: TriplePair) -> tuple:
-    return tuple(w.letters for w in pair.words_in_file_order())
-
-
 class _Stop(Exception):
     """Internal: node budget exhausted or result limit reached."""
 
@@ -164,7 +149,7 @@ class _SearcherBase:
         self.seq = []  # every placed letter, in assignment order
         self.nodes = 0
         self.results = []
-        self._seen_keys = set()
+        self._seen = set()
         self.exhausted = True
 
     def run(self):
@@ -187,10 +172,9 @@ class _SearcherBase:
     def _record(self, pair: TriplePair):
         if self.cfg.canonical:
             pair = canonicalize(pair)
-            key = _pair_key(pair)
-            if key in self._seen_keys:
+            if pair in self._seen:
                 return
-            self._seen_keys.add(key)
+            self._seen.add(pair)
             if not verify(pair).verdict:
                 raise AssertionError("canonicalization broke a passing certificate")
         self.results.append(pair)
@@ -261,7 +245,7 @@ class _ShiftSearcher(_SearcherBase):
         """Check the conditions U0 settles alone, then set up the V0 phase."""
         k = self.k
         u = bytes(self.seq)
-        shifted = [bytes((a + d) % 3 for a in u) for d in (1, 2)]
+        shifted = [u.translate(SHIFT_TABLES[d]) for d in (1, 2)]
         # U0 . shift(U0, d) must be square-free.  U0 and its shifts already
         # are, so any square found crosses the seam.
         for ud in shifted:
@@ -307,8 +291,8 @@ class _ShiftSearcher(_SearcherBase):
 
     def _leaf(self):
         k = self.k
-        u0 = Word._wrap(tuple(self.seq[:k]))  # letters come from (0, 1, 2)
-        v0 = Word._wrap(tuple(self.seq[k:]))
+        u0 = Word._wrap(bytes(self.seq[:k]))  # letters come from (0, 1, 2)
+        v0 = Word._wrap(bytes(self.seq[k:]))
         pair = TriplePair(
             u=(u0, shift(u0, 1), shift(u0, 2)),
             v=(v0, shift(v0, 1), shift(v0, 2)),
@@ -363,7 +347,7 @@ class _FullSearcher(_SearcherBase):
         return True
 
     def _leaf(self):
-        words = [Word._wrap(tuple(self.seq[w :: self.WORDS])) for w in range(self.WORDS)]
+        words = [Word._wrap(bytes(self.seq[w :: self.WORDS])) for w in range(self.WORDS)]
         pair = make_triple_pair(words)  # file order U0, V0, U1, V1, U2, V2
         if verify(pair).verdict:
             self._record(pair)
@@ -448,10 +432,9 @@ def find_pairs(config: SearchConfig) -> SearchOutcome:
                 exhausted = False
             for pair in pairs:
                 if config.canonical:
-                    key = _pair_key(pair)
-                    if key in seen:
+                    if pair in seen:
                         continue
-                    seen.add(key)
+                    seen.add(pair)
                 results.append(pair)
                 limit = config.max_results
                 if limit is not None and len(results) >= limit:

@@ -34,13 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .words import (
-    ParseError,
-    SquareWitness,
-    Word,
-    find_square,
-    parse_word,
-)
+from .words import SHIFT_TABLES, ParseError, SquareWitness, Word, find_square, parse_word
 
 __all__ = [
     "TriplePair",
@@ -147,9 +141,6 @@ _CONCAT_PLAN = tuple(
     for x, y in CONCAT_CHOICES
 )
 
-# _ADD[c] adds c to every letter mod 3 under bytes.translate.
-_ADD = tuple(bytes.maketrans(b"\0\1\2", bytes((c, (1 + c) % 3, (2 + c) % 3))) for c in range(3))
-
 
 def concatenation_words(tp: TriplePair) -> list:
     """The 24 labelled length-2k concatenations, in the fixed emission order."""
@@ -159,13 +150,13 @@ def concatenation_words(tp: TriplePair) -> list:
 
 def _letter_bytes(tp: TriplePair) -> tuple:
     """The six words in file order, as byte strings of their letters."""
-    return tuple(bytes(w.letters) for w in tp.words_in_file_order())
+    return tuple(map(bytes, tp.words_in_file_order()))
 
 
 @functools.lru_cache(maxsize=4096)
 def _normalized_witness(letters: bytes) -> "SquareWitness | None":
     # letters starts with 0; the module docstring says why this key is enough.
-    return find_square(Word._wrap(tuple(letters)))
+    return find_square(Word._wrap(letters))
 
 
 def _concat_checks(ws: tuple) -> list:
@@ -173,7 +164,7 @@ def _concat_checks(ws: tuple) -> list:
     for a, b, passed in _CONCAT_PLAN:
         w = ws[a] + ws[b]
         if w[0]:
-            w = w.translate(_ADD[3 - w[0]])
+            w = w.translate(SHIFT_TABLES[3 - w[0]])
         witness = _normalized_witness(w)
         out.append(passed if witness is None else ConcatCheck(passed.label, witness))
     return out
@@ -250,7 +241,8 @@ def verify(tp: TriplePair) -> Certificate:
     ws = _letter_bytes(tp)
     u0, v0 = ws[0], ws[1]
     sym = all(
-        ws[2 * c] == u0.translate(_ADD[c]) and ws[2 * c + 1] == v0.translate(_ADD[c])
+        ws[2 * c] == u0.translate(SHIFT_TABLES[c])
+        and ws[2 * c + 1] == v0.translate(SHIFT_TABLES[c])
         for c in (1, 2)
     )
     pal = u0 == u0[::-1] and v0 == v0[::-1]

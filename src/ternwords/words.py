@@ -17,6 +17,17 @@ one compiled pattern ``SQUARE`` over the letters as bytes:
 ``_find_square_scan`` is the plain (start, period) scan, kept only as the
 oracle the tests hold the pattern against.
 
+A ``Word`` stores its letters as one ``bytes`` object, one byte 0, 1 or 2
+per letter, and ``bytes(w)`` returns that object without a copy.  Every
+kernel reads letters that way; ``w.letters`` builds a tuple of ints and is
+for callers that want one.  ``SHIFT_TABLES[c]`` is the ``bytes.translate``
+table that adds c to every letter mod 3, the one whole-word shift.
+
+Words hash as their bytes, and bytes hashes are salted per process, so the
+iteration order of a set or dict keyed by Words (or by the TriplePairs
+built from them) changes from run to run.  No output may depend on it:
+such containers serve membership tests and sizes only.
+
 Counting and enumeration of square-free words grow prefixes depth first
 and never touch the 3^n full space.
 """
@@ -47,6 +58,11 @@ SQUARE = re.compile(rb"(.+?)\1", re.DOTALL)
 # One-byte strings of the letters, for prepending to reversed buffers.
 LETTER_BYTES = tuple(bytes((a,)) for a in ALPHABET)
 
+# SHIFT_TABLES[c] adds c to every letter mod 3 under bytes.translate.
+SHIFT_TABLES = tuple(
+    bytes.maketrans(b"\0\1\2", bytes((a + c) % 3 for a in ALPHABET)) for c in ALPHABET
+)
+
 
 class ParseError(ValueError):
     """Text could not be read as a ternary word."""
@@ -60,63 +76,67 @@ class SquareWitness(NamedTuple):
 
 
 class Word:
-    """Immutable word over the alphabet {0, 1, 2}.
+    """Immutable word over the alphabet {0, 1, 2}, stored as bytes.
 
     Equality, ordering and hashing are letter by letter.  Slicing returns a
-    Word, ``+`` concatenates, and ``str`` gives the plain digit string.
+    Word, ``+`` concatenates, ``str`` gives the plain digit string and
+    ``bytes`` the stored letter bytes.
     """
 
-    __slots__ = ("_letters",)
+    __slots__ = ("_bytes",)
 
     def __init__(self, letters: Iterable[int] = ()):
         tup = tuple(letters)
         for pos, a in enumerate(tup):
             if not isinstance(a, int) or a not in (0, 1, 2):
                 raise ValueError(f"letter {a!r} at position {pos} is not 0, 1 or 2")
-        self._letters = tup
+        self._bytes = bytes(tup)
 
     @classmethod
-    def _wrap(cls, tup: tuple) -> "Word":
-        # Internal constructor for letters that are already validated.
+    def _wrap(cls, letters: bytes) -> "Word":
+        # Internal constructor for letter bytes that are already validated.
         w = object.__new__(cls)
-        w._letters = tup
+        w._bytes = letters
         return w
 
     @property
     def letters(self) -> tuple:
-        return self._letters
+        return tuple(self._bytes)
+
+    def __bytes__(self) -> bytes:
+        return self._bytes
 
     def __len__(self) -> int:
-        return len(self._letters)
+        return len(self._bytes)
 
     def __iter__(self):
-        return iter(self._letters)
+        return iter(self._bytes)
 
     def __getitem__(self, ix):
         if isinstance(ix, slice):
-            return Word._wrap(self._letters[ix])
-        return self._letters[ix]
+            return Word._wrap(self._bytes[ix])
+        return self._bytes[ix]
 
     def __eq__(self, other):
         if isinstance(other, Word):
-            return self._letters == other._letters
+            return self._bytes == other._bytes
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._letters)
+        return hash(self._bytes)
 
     def __lt__(self, other):
         if isinstance(other, Word):
-            return self._letters < other._letters
+            return self._bytes < other._bytes
         return NotImplemented
 
     def __add__(self, other):
         if isinstance(other, Word):
-            return Word._wrap(self._letters + other._letters)
+            return Word._wrap(self._bytes + other._bytes)
         return NotImplemented
 
     def __str__(self) -> str:
-        return "".join(map(str, self._letters))
+        return "".join(map(str, self._bytes))
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
@@ -132,13 +152,13 @@ def parse_word(text: str) -> Word:
             continue
         else:
             raise ParseError(f"invalid character {ch!r} at position {pos}")
-    return Word._wrap(tuple(letters))
+    return Word._wrap(bytes(letters))
 
 
 def find_square(w: Word) -> "SquareWitness | None":
     """The square with the smallest start, then the smallest period, or None
     when the word is square-free."""
-    m = SQUARE.search(bytes(w.letters))
+    m = SQUARE.search(bytes(w))
     if m is None:
         return None
     return SquareWitness(m.start(), m.end(1) - m.start())
@@ -162,7 +182,7 @@ def is_square_free(w: Word) -> bool:
 
 def ends_with_square(w: Word) -> bool:
     """True when some square ends exactly at the last letter."""
-    return SQUARE.match(bytes(w.letters[::-1])) is not None
+    return SQUARE.match(bytes(w)[::-1]) is not None
 
 
 def shift(w: Word, c: int) -> Word:
@@ -171,11 +191,11 @@ def shift(w: Word, c: int) -> Word:
         raise ValueError(f"shift amount must be 0, 1 or 2, got {c!r}")
     if c == 0:
         return w
-    return Word._wrap(tuple((a + c) % 3 for a in w.letters))
+    return Word._wrap(bytes(w).translate(SHIFT_TABLES[c]))
 
 
 def reverse(w: Word) -> Word:
-    return Word._wrap(w.letters[::-1])
+    return Word._wrap(bytes(w)[::-1])
 
 
 def count_square_free(n: int) -> int:
@@ -215,7 +235,7 @@ def enumerate_square_free(n: int) -> Iterator[Word]:
 
     def grow(rev: bytes):
         if len(rev) == n:
-            yield Word._wrap(tuple(rev[::-1]))
+            yield Word._wrap(rev[::-1])
             return
         for a in LETTER_BYTES:
             ext = a + rev

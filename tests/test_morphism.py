@@ -5,11 +5,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ternwords import (
     ExpansionBudgetError,
     TriplePair,
     Word,
+    builtin_pair,
     enumerate_square_free,
     is_square_free,
     lower_bound,
@@ -67,6 +70,26 @@ class TestSubstitute:
         for n in (1, 2, 5):
             x = next(iter(enumerate_square_free(n)))
             assert len(substitute(builtin, x, "U" * n)) == n * builtin.k
+
+
+def substitute_oracle(tp: TriplePair, letters: tuple, choices: str) -> tuple:
+    """The image's letters, built block by block from letter tuples."""
+    out = ()
+    for a, c in zip(letters, choices):
+        out += (tp.u[a] if c == "U" else tp.v[a]).letters
+    return out
+
+
+@given(
+    st.sampled_from([builtin_pair(), unverified_pair()]),
+    st.lists(st.tuples(st.sampled_from([0, 1, 2]), st.sampled_from("UV")), max_size=12),
+)
+def test_substitute_matches_letter_oracle(tp, steps):
+    letters = tuple(a for a, _ in steps)
+    choices = "".join(c for _, c in steps)
+    image = substitute(tp, Word(letters), choices)
+    assert image.letters == substitute_oracle(tp, letters, choices)
+    assert bytes(image) == bytes(image.letters)
 
 
 class TestVerifyExpansion:

@@ -7,6 +7,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ternwords import (
     SearchConfig,
@@ -16,6 +18,8 @@ from ternwords import (
     canonicalize,
     enumerate_square_free,
     find_pairs,
+    make_triple_pair,
+    parse_word,
     prune_check,
     reverse,
     shift,
@@ -151,6 +155,75 @@ class TestCanonicalize:
 
     def test_verdict_preserved(self, builtin):
         assert verify(canonicalize(builtin)).verdict
+
+
+def digit_shift(digits: str, c: int) -> str:
+    return "".join(str((int(a) + c) % 3) for a in digits)
+
+
+def canonical_oracle(rows) -> list:
+    """Least of the 24 orbit images of a pair given as file-order digit
+    strings, compared as the concatenation U0 V0 U1 V1 U2 V2."""
+    images = []
+    for c in (0, 1, 2):
+        u = [digit_shift(rows[2 * ((i - c) % 3)], c) for i in range(3)]
+        v = [digit_shift(rows[2 * ((i - c) % 3) + 1], c) for i in range(3)]
+        for mask in range(8):
+            image = []
+            for i in range(3):
+                image += [v[i], u[i]] if (mask >> i) & 1 else [u[i], v[i]]
+            images.append(image)
+    return min(images, key="".join)
+
+
+def relabelled(tp: TriplePair, perm, swaps: int) -> TriplePair:
+    """Letter a becomes perm[a], index i becomes perm[i], and bit j of
+    swaps trades U_j with V_j."""
+    table = str.maketrans("012", "".join(map(str, perm)))
+    rows = [str(w).translate(table) for w in tp.words_in_file_order()]
+    u, v = [None] * 3, [None] * 3
+    for i in range(3):
+        j = perm[i]
+        a, b = rows[2 * i], rows[2 * i + 1]
+        u[j], v[j] = (b, a) if (swaps >> j) & 1 else (a, b)
+    return TriplePair(u=tuple(map(parse_word, u)), v=tuple(map(parse_word, v)))
+
+
+class TestCanonicalizeAgainstOracle:
+    """canonicalize compares six-Word tuples; the oracle compares digit strings."""
+
+    def check(self, tp: TriplePair):
+        rows = [str(w) for w in canonicalize(tp).words_in_file_order()]
+        assert rows == canonical_oracle([str(w) for w in tp.words_in_file_order()]), tp
+
+    def test_every_k6_symmetric_candidate(self):
+        # no shift-symmetric pair passes below k=18, so this takes all 1764
+        # candidates; canonicalize does not look at the verdict
+        words = list(enumerate_square_free(6))
+        for u0 in words:
+            for v0 in words:
+                self.check(symmetric_pair(u0, v0))
+
+    def test_relabellings_of_builtin(self, builtin):
+        for perm in itertools.permutations(range(3)):
+            for swaps in range(8):
+                tp = relabelled(builtin, perm, swaps)
+                assert verify(tp).verdict
+                self.check(tp)
+
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda k: st.lists(
+                st.lists(st.sampled_from([0, 1, 2]), min_size=k, max_size=k),
+                min_size=6,
+                max_size=6,
+            )
+        )
+    )
+    def test_arbitrary_six_words(self, rows):
+        # shift-symmetric inputs tie U1, U2 to U0, so they cannot tell the
+        # file-order key from, say, all U words before all V words
+        self.check(make_triple_pair([Word(r) for r in rows]))
 
 
 class TestImpossibleSmallK:

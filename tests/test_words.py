@@ -96,6 +96,32 @@ class TestWord:
         assert repr(Word([1, 0])) == "Word('10')"
 
 
+class TestByteStorage:
+    """A Word keeps its letters in one bytes object; every view agrees with it."""
+
+    def test_views_agree_exhaustively_up_to_length_6(self):
+        for n in range(0, 7):
+            for tup in itertools.product((0, 1, 2), repeat=n):
+                w = Word(tup)
+                assert w.letters == tup
+                assert bytes(w) == bytes(w.letters), tup
+                for c in (0, 1, 2):
+                    assert shift(w, c).letters == tuple((a + c) % 3 for a in w.letters), (tup, c)
+                assert reverse(w).letters == tup[::-1]
+                assert str(w) == "".join(map(str, tup))
+                assert parse_word(str(w)) == w
+
+    def test_bytes_returns_the_stored_object(self):
+        w = parse_word("0120")
+        assert bytes(w) is bytes(w)
+        assert bytes(w[1:3]) == b"\x01\x02"
+        assert bytes(w + Word([2])) == b"\x00\x01\x02\x00\x02"
+
+    def test_never_equal_to_its_bytes(self):
+        assert Word([0, 1]) != b"\x00\x01"
+        assert b"\x00\x01" != Word([0, 1])
+
+
 class TestParseWord:
     def test_plain_digits(self):
         assert parse_word("012") == Word([0, 1, 2])
@@ -154,7 +180,7 @@ class TestKernelAgainstOracle:
     def test_exhaustive_up_to_length_10(self):
         for n in range(0, 11):
             for tup in itertools.product((0, 1, 2), repeat=n):
-                w = Word._wrap(tup)
+                w = Word(tup)
                 assert find_square(w) == _find_square_scan(w), tup
                 # a square ends at the last letter of w exactly when one
                 # starts at the first letter of w reversed, and the oracle
@@ -205,7 +231,7 @@ class TestEndsWithSquare:
     def test_prefix_scan_equals_reference_exhaustively(self):
         for n in range(0, 11):
             for tup in itertools.product((0, 1, 2), repeat=n):
-                w = Word._wrap(tup)
+                w = Word(tup)
                 sf = is_square_free(w)
                 via_prefixes = not any(
                     ends_with_square(w[: i + 1]) for i in range(n)
@@ -216,7 +242,7 @@ class TestEndsWithSquare:
         rng = random.Random(99182)
         for _ in range(100_000):
             n = rng.randint(0, 60)
-            w = Word._wrap(tuple(rng.randrange(3) for _ in range(n)))
+            w = Word(tuple(rng.randrange(3) for _ in range(n)))
             sf = is_square_free(w)
             via_prefixes = not any(ends_with_square(w[: i + 1]) for i in range(n))
             assert sf == via_prefixes, w
@@ -232,7 +258,7 @@ class TestCounting:
             brute = sum(
                 1
                 for tup in itertools.product((0, 1, 2), repeat=n)
-                if _find_square_scan(Word._wrap(tup)) is None
+                if _find_square_scan(Word(tup)) is None
             )
             assert count_square_free(n) == brute
 
@@ -285,7 +311,7 @@ class TestEnumeration:
             brute = [
                 tup
                 for tup in itertools.product((0, 1, 2), repeat=n)
-                if _find_square_scan(Word._wrap(tup)) is None
+                if _find_square_scan(Word(tup)) is None
             ]
             assert [w.letters for w in enumerate_square_free(n)] == brute
 
