@@ -14,7 +14,7 @@ exponent and the numeric bound.
 import itertools
 from dataclasses import dataclass
 
-from .words import Word, count_square_free, enumerate_square_free, is_square_free
+from .words import Word, enumerate_square_free, is_square_free
 from .triplepair import TriplePair, verify
 
 __all__ = [
@@ -84,22 +84,19 @@ def _require_verified(tp: TriplePair):
         raise ValueError("triple-pair fails verification; expansion guarantees need a passing pair")
 
 
-def _check_budget(n: int, budget: int) -> int:
+def _square_free_words(n: int, budget: int) -> list:
+    """The square-free words of length n.  Raises ExpansionBudgetError as
+    soon as the words drawn so far have more than ``budget`` images."""
     # a(n) >= 1, so 2^n alone can exceed the budget; that test is instant,
-    # while counting a(n) takes time exponential in n.
+    # and it keeps a huge n away from the enumeration's recursion.
     if 2**n > budget:
         raise ExpansionBudgetError(f"2^n * a(n) >= 2^n = {2**n} exceeds budget {budget}")
-    total = (2**n) * count_square_free(n)
-    if total > budget:
-        raise ExpansionBudgetError(f"2^n * a(n) = {total} exceeds budget {budget}")
-    return total
-
-
-def _all_images(tp: TriplePair, n: int):
-    choice_strings = ["".join(t) for t in itertools.product("UV", repeat=n)]
+    words = []
     for x in enumerate_square_free(n):
-        for ch in choice_strings:
-            yield substitute(tp, x, ch)
+        words.append(x)
+        if 2**n * len(words) > budget:
+            raise ExpansionBudgetError(f"2^n * a(n) >= {2**n * len(words)} exceeds budget {budget}")
+    return words
 
 
 def verify_expansion(tp: TriplePair, n: int, budget: int = DEFAULT_EXPANSION_BUDGET) -> ExpansionReport:
@@ -107,7 +104,7 @@ def verify_expansion(tp: TriplePair, n: int, budget: int = DEFAULT_EXPANSION_BUD
 
     Reports the image count 2^n * a(n) and whether all images are
     square-free and pairwise distinct.  Raises ExpansionBudgetError before
-    enumerating when the image count exceeds the budget, and ValueError
+    substituting when the image count exceeds the budget, and ValueError
     when the pair itself fails verification.  Both flags true confirms the
     counting step a(n*k) >= 2^n * a(n) at this n: the images are then
     2^n * a(n) distinct square-free words of length n*k.
@@ -115,15 +112,15 @@ def verify_expansion(tp: TriplePair, n: int, budget: int = DEFAULT_EXPANSION_BUD
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
     _require_verified(tp)
-    total = _check_budget(n, budget)
+    words = _square_free_words(n, budget)
+    choice_strings = ["".join(t) for t in itertools.product("UV", repeat=n)]
     all_sf = True
     seen = set()
-    produced = 0
-    for img in _all_images(tp, n):
-        produced += 1
-        if all_sf and not is_square_free(img):
-            all_sf = False
-        seen.add(img)
-    assert produced == total
+    for x in words:
+        for ch in choice_strings:
+            img = substitute(tp, x, ch)
+            if all_sf and not is_square_free(img):
+                all_sf = False
+            seen.add(img)
+    total = len(words) * len(choice_strings)
     return ExpansionReport(total=total, all_square_free=all_sf, all_distinct=len(seen) == total)
-

@@ -18,7 +18,9 @@ completion can satisfy the definition):
   concatenation and head/tail conditions.
 
 Complete assignments get the full certificate check from the triplepair
-module, and only pairs whose certificate passes are emitted.
+module, and only pairs whose certificate passes are emitted.  Each cut
+exists once, in the searcher that applies it: ``prune_check`` runs that
+searcher on a fixed prefix, so tests can hold the cuts against verify.
 
 Each growing word is kept as its letters reversed in a byte string.
 Placing a letter prepends it, and ``SQUARE.match`` from the words module
@@ -26,14 +28,14 @@ tells whether a square now ends at that letter.  Parallel runs shard the
 space by fixed-depth prefixes of the assignment sequence and merge shard
 results in lexicographic shard order, which keeps the emitted pair set
 independent of the shard count.  The pool never has more workers than
-shards or CPUs.
+shards or CPUs.  A search with a node budget runs in one process.
 """
 
 import multiprocessing
 import os
 from dataclasses import dataclass, replace
 
-from .words import LETTER_BYTES, SHIFT_TABLES, SQUARE, Word, is_square_free, shift
+from .words import LETTER_BYTES, SHIFT_TABLES, SQUARE, Word, shift
 from .triplepair import TriplePair, make_triple_pair, verify
 
 __all__ = ["SearchConfig", "SearchOutcome", "find_pairs", "prune_check", "canonicalize"]
@@ -93,44 +95,31 @@ def canonicalize(tp: TriplePair) -> TriplePair:
 
 
 def prune_check(config: SearchConfig, letters) -> bool:
-    """Feasibility screen for a partial assignment, mandatory cuts only.
+    """Whether the search for ``config`` keeps a partial assignment.
 
     ``letters`` lists the letters placed so far, in the assignment order
-    find_pairs uses for ``config``.  Returns False only when no completion
-    of the assignment can pass verify: some placed prefix already contains
-    a square, or two prefixes of length r >= ceil(k/2) that the
-    distinctness condition forces apart already coincide.  The search
-    itself applies further cuts; they stay sound for the same reason.
+    find_pairs uses for ``config``.  The searcher places them as a fixed
+    prefix and stops after the last one, so this runs the search's own
+    cuts, and returns True when the search places every letter without a
+    cut.  Every cut is meant to be final (no completion passes verify), so
+    a full-length assignment that passes verify must return True.
+
+    The first-letter restriction, the palindrome restriction and the node
+    budget are not applied.  In shift mode, the checks U0 settles alone
+    run only when the first V0 letter is placed, so an assignment of
+    exactly k letters is not held against them.
     """
-    k = config.k
     seq = tuple(letters)
     for pos, a in enumerate(seq):
         if not isinstance(a, int) or a not in (0, 1, 2):
             raise ValueError(f"invalid letter {a!r} at position {pos}")
-    if config.shift_symmetry:
-        if len(seq) > 2 * k:
-            raise ValueError("assignment longer than the search space")
-        words = [seq[:k], seq[k:]]
-    else:
-        if len(seq) > 6 * k:
-            raise ValueError("assignment longer than the search space")
-        words = [seq[i::6] for i in range(6)]
-    for w in words:
-        if not is_square_free(Word(w)):
-            return False
-    for r in range((k + 1) // 2, k):
-        heads = [w[:r] for w in words if len(w) >= r]
-        if config.shift_symmetry:
-            if len(heads) == 2:
-                u0h, v0h = heads
-                # implied heads are the letterwise shifts; distinct shifts
-                # of one word never collide, so three comparisons remain
-                for d in (0, 1, 2):
-                    if u0h == tuple((a + d) % 3 for a in v0h):
-                        return False
-        elif len(set(heads)) != len(heads):
-            return False
-    return True
+    if len(seq) > (2 if config.shift_symmetry else 6) * config.k:
+        raise ValueError("assignment longer than the search space")
+    kept = []
+    _new_searcher(
+        replace(config, node_budget=None), prefix=seq, stop_depth=len(seq), collector=kept.append
+    ).run()
+    return bool(kept)
 
 
 class _Stop(Exception):
@@ -138,14 +127,13 @@ class _Stop(Exception):
 
 
 class _SearcherBase:
-    def __init__(self, cfg: SearchConfig, prefix=(), stop_depth=None, collector=None, cut_log=None):
+    def __init__(self, cfg: SearchConfig, prefix=(), stop_depth=None, collector=None):
         self.cfg = cfg
         self.k = cfg.k
         self.half = (cfg.k + 1) // 2
         self.prefix = tuple(prefix)
         self.stop_depth = stop_depth
         self.collector = collector
-        self.cut_log = cut_log
         self.seq = []  # every placed letter, in assignment order
         self.nodes = 0
         self.results = []
@@ -164,10 +152,6 @@ class _SearcherBase:
         if budget is not None and self.nodes >= budget:
             raise _Stop
         self.nodes += 1
-
-    def _cut(self, reason: str):
-        if self.cut_log is not None:
-            self.cut_log.append((reason, tuple(self.seq)))
 
     def _record(self, pair: TriplePair):
         if self.cfg.canonical:
@@ -236,7 +220,6 @@ class _ShiftSearcher(_SearcherBase):
     def _place_u(self, x: int) -> bool:
         ru = LETTER_BYTES[x] + self.ru
         if SQUARE.match(ru):
-            self._cut("square-u")
             return False
         self.ru = ru
         return True
@@ -250,7 +233,6 @@ class _ShiftSearcher(_SearcherBase):
         # are, so any square found crosses the seam.
         for ud in shifted:
             if SQUARE.search(u + ud):
-                self._cut("u-self-concat")
                 return False
         # heads of U0, U1, U2 against tails of U0, U1, U2: the shifted
         # comparisons collapse to head(U0) against all three shifts of
@@ -258,7 +240,6 @@ class _ShiftSearcher(_SearcherBase):
         # automatically for distinct shifts.
         for r in range(self.half, k):
             if u[:r] in (u[k - r :], shifted[0][k - r :], shifted[1][k - r :]):
-                self._cut("u-self-headtail")
                 return False
         # V0's head of length r, reversed, must miss the reversed heads and
         # tails of length r of U0, U1, U2.
@@ -273,18 +254,14 @@ class _ShiftSearcher(_SearcherBase):
     def _place_v(self, pos: int, x: int) -> bool:
         rv = LETTER_BYTES[x] + self.rv
         if SQUARE.match(rv):
-            self._cut("square-v")
             return False
         rb1 = LETTER_BYTES[(x + 1) % 3] + self.rb1
         if SQUARE.match(rb1):
-            self._cut("cross-concat-1")
             return False
         rb2 = LETTER_BYTES[(x + 2) % 3] + self.rb2
         if SQUARE.match(rb2):
-            self._cut("cross-concat-2")
             return False
         if rv in self.forbid.get(pos + 1, ()):
-            self._cut("head-collision")
             return False
         self.rv, self.rb1, self.rb2 = rv, rb1, rb2
         return True
@@ -337,11 +314,9 @@ class _FullSearcher(_SearcherBase):
     def _place(self, w: int, pos: int, x: int) -> bool:
         rev = LETTER_BYTES[x] + self.revs[w]
         if SQUARE.match(rev):
-            self._cut("square")
             return False
         # words earlier in the round already have length pos + 1
         if self.half <= pos + 1 < self.k and rev in self.revs[:w]:
-            self._cut("head-collision")
             return False
         self.revs[w] = rev
         return True
@@ -359,8 +334,8 @@ def _new_searcher(cfg: SearchConfig, **kw) -> _SearcherBase:
     return _FullSearcher(cfg, **kw)
 
 
-def _run_single(cfg: SearchConfig, prefix=(), cut_log=None) -> SearchOutcome:
-    s = _new_searcher(cfg, prefix=prefix, cut_log=cut_log)
+def _run_single(cfg: SearchConfig, prefix=()) -> SearchOutcome:
+    s = _new_searcher(cfg, prefix=prefix)
     s.run()
     return SearchOutcome(pairs_found=s.results, nodes_expanded=s.nodes, exhausted=s.exhausted)
 
@@ -383,11 +358,10 @@ def _shard_prefixes(cfg: SearchConfig):
     """
     target = cfg.parallel_shards * 4
     total_depth = 2 * cfg.k if cfg.shift_symmetry else 6 * cfg.k
-    scan_cfg = replace(cfg, node_budget=None)
     best, best_nodes = [], 0
     for depth in range(1, total_depth + 1):
         found = []
-        s = _new_searcher(scan_cfg, stop_depth=depth, collector=found.append)
+        s = _new_searcher(cfg, stop_depth=depth, collector=found.append)
         s.run()
         if len(found) <= len(best):
             break
@@ -403,9 +377,12 @@ def find_pairs(config: SearchConfig) -> SearchOutcome:
     The outcome lists every emitted pair (canonical representatives unless
     config.canonical is false), the number of letter placement attempts,
     and whether the whole configured space was covered.  A node budget or a
-    result limit that stops the run early reports exhausted=False.
+    result limit that stops the run early reports exhausted=False.  A run
+    with a node budget uses one process whatever config.parallel_shards
+    says, so the budget bounds the whole run and its outcome does not
+    depend on the shard count.
     """
-    if config.parallel_shards == 1:
+    if config.parallel_shards == 1 or config.node_budget is not None:
         return _run_single(config)
 
     prefixes, setup_nodes = _shard_prefixes(config)

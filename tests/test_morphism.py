@@ -23,6 +23,7 @@ from ternwords import (
     substitute,
     verify_expansion,
 )
+from ternwords import morphism
 
 
 def unverified_pair() -> TriplePair:
@@ -111,6 +112,20 @@ class TestVerifyExpansion:
     def test_budget_guard_raises_before_work(self, builtin):
         with pytest.raises(ExpansionBudgetError, match="exceeds budget"):
             verify_expansion(builtin, 3, budget=50)
+
+    def test_budget_guard_stops_the_enumeration_early(self, monkeypatch, builtin):
+        # 2^45 * 29 is the first multiple of 2^45 past 10^15; a(45) is 1812876
+        drawn = []
+
+        def counting_enumeration(n):
+            for x in enumerate_square_free(n):
+                drawn.append(x)
+                yield x
+
+        monkeypatch.setattr(morphism, "enumerate_square_free", counting_enumeration)
+        with pytest.raises(ExpansionBudgetError, match=r"2\^n \* a\(n\) >= \d+ exceeds budget"):
+            verify_expansion(builtin, 45, budget=10**15)
+        assert 0 < len(drawn) <= 29
 
     def test_default_guard_trips_eventually(self, builtin):
         # 2^16 * a(16) is the first count past ten million

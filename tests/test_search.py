@@ -26,7 +26,7 @@ from ternwords import (
     verify,
 )
 from ternwords import search
-from ternwords.search import _new_searcher, _run_single, _shard_prefixes
+from ternwords.search import _new_searcher, _shard_prefixes
 
 # The complete set of canonical shift-symmetric 18-pairs (U0, V0 digits),
 # pinned from the exhaustive run; test_exhaustive_set_matches re-derives it.
@@ -89,11 +89,13 @@ class TestPruneCheck:
         assert prune_check(SearchConfig(k=18), list(builtin.u[0].letters[:9]))
 
     def test_unavoidable_head_collision_is_cut(self):
-        cfg = SearchConfig(k=6, first_letter=None)
-        u0 = [0, 1, 0, 2, 0, 1]
-        assert prune_check(cfg, u0 + [0, 1, 0]) is False  # equals head of U0
-        assert prune_check(cfg, u0 + [1, 2, 1]) is False  # equals its shift
-        assert prune_check(cfg, u0 + [0, 1, 2]) is True
+        # U0 must pass its completion checks, which no U0 does at k=6
+        cfg = SearchConfig(k=7, first_letter=None)
+        u0 = [0, 1, 2, 0, 2, 1, 0]
+        assert prune_check(cfg, u0) is True
+        assert prune_check(cfg, u0 + [0, 1, 2, 0]) is False  # equals head of U0
+        assert prune_check(cfg, u0 + [1, 2, 0, 1]) is False  # equals its shift
+        assert prune_check(cfg, u0 + [0, 1, 2, 1]) is True
 
     def test_full_mode_interleaved_assignment(self):
         cfg = SearchConfig(k=4, shift_symmetry=False, first_letter=None)
@@ -108,6 +110,24 @@ class TestPruneCheck:
             prune_check(cfg, [0, 7])
         with pytest.raises(ValueError, match="longer than"):
             prune_check(cfg, [0, 1] * 4)
+
+    def test_keeps_every_known_pair_at_full_length(self, builtin):
+        # True at full length means no cut fired anywhere along the way
+        relaxed = SearchConfig(k=18, shift_symmetry=False, first_letter=None)
+        symmetric = SearchConfig(k=18, first_letter=None)
+        checked = 0
+        for perm in itertools.permutations(range(3)):
+            for swaps in range(8):
+                tp = relabelled(builtin, perm, swaps)
+                cert = verify(tp)
+                assert cert.verdict
+                rows = [bytes(w) for w in tp.words_in_file_order()]
+                interleaved = [row[pos] for pos in range(tp.k) for row in rows]
+                assert prune_check(relaxed, interleaved), (perm, swaps)
+                if cert.shift_symmetric:
+                    assert prune_check(symmetric, list(rows[0] + rows[1])), (perm, swaps)
+                    checked += 1
+        assert checked == 12
 
     def test_cuts_are_admissible_at_k3(self):
         # every assignment prune_check cuts has no completion that verifies
@@ -424,6 +444,16 @@ class TestShardPool:
         assert capped.exhausted
         assert base_digits(capped) == list(K18_CANONICAL)
 
+    @pytest.mark.parametrize("shards", [2, 4])
+    @pytest.mark.parametrize("budget", [0, 200, 500])
+    def test_node_budget_runs_in_one_process(self, pool_sizes, shards, budget):
+        cfg = SearchConfig(k=18, first_letter=None, node_budget=budget)
+        single = find_pairs(cfg)
+        sharded = find_pairs(replace(cfg, parallel_shards=shards))
+        assert pool_sizes == []
+        assert sharded == single
+        assert sharded.nodes_expanded <= budget
+
     def test_scan_stops_when_the_frontier_stops_growing(self, monkeypatch, pool_sizes):
         cfg = SearchConfig(k=18, first_letter=None, parallel_shards=1000)
         scans = []
@@ -456,27 +486,46 @@ class TestShardPool:
         assert sharded.pairs_found == find_pairs(replace(cfg, parallel_shards=1)).pairs_found
 
 
+def cut_points(cfg: SearchConfig) -> list:
+    """Every assignment that prune_check cuts while it keeps the parent,
+    found by a depth-first walk of the assignment tree."""
+    total = 2 * cfg.k if cfg.shift_symmetry else 6 * cfg.k
+    points = []
+
+    def walk(seq):
+        for x in (0, 1, 2):
+            child = seq + (x,)
+            if not prune_check(cfg, child):
+                points.append(child)
+            elif len(child) < total:
+                walk(child)
+
+    walk(())
+    return points
+
+
 class TestCutLogAdmissibility:
+    """Every cut point of the search has no completion that verifies."""
+
     def test_every_cut_at_k3_is_final(self):
-        cuts = []
-        _run_single(SearchConfig(k=3, first_letter=None), cut_log=cuts)
-        assert cuts
-        for _reason, seq in cuts:
-            depth = len(seq)
-            for rest in itertools.product((0, 1, 2), repeat=6 - depth):
-                full = tuple(seq) + rest
+        cuts = cut_points(SearchConfig(k=3, first_letter=None))
+        # a cut of U0's completion checks shows up as its three V0 children
+        assert len(cuts) == 45
+        for seq in cuts:
+            for rest in itertools.product((0, 1, 2), repeat=6 - len(seq)):
+                full = seq + rest
                 tp = symmetric_pair(Word(full[:3]), Word(full[3:]))
                 assert not verify(tp).verdict, (seq, rest)
 
     def test_sampled_cuts_at_k5_are_final(self):
-        cuts = []
-        _run_single(SearchConfig(k=5, first_letter=None), cut_log=cuts)
-        deep = [seq for _reason, seq in cuts if len(seq) >= 5]
+        cuts = cut_points(SearchConfig(k=5, first_letter=None))
+        deep = [seq for seq in cuts if len(seq) >= 5]
+        assert len(deep) == 138
+        # all of them would take seconds; a fixed sample keeps this quick
         rng = random.Random(1405)
-        for seq in rng.sample(deep, min(30, len(deep))):
-            depth = len(seq)
-            for rest in itertools.product((0, 1, 2), repeat=10 - depth):
-                full = tuple(seq) + rest
+        for seq in rng.sample(deep, 30):
+            for rest in itertools.product((0, 1, 2), repeat=10 - len(seq)):
+                full = seq + rest
                 tp = symmetric_pair(Word(full[:5]), Word(full[5:]))
                 assert not verify(tp).verdict, (seq, rest)
 
