@@ -12,7 +12,8 @@ one compiled pattern ``SQUARE`` over the letters as bytes:
   ``ends_with_square``.  A word is square-free iff no prefix of it ends
   with a square, which is the fact the enumerator and the pair search build
   on: they grow words as reversed byte strings, one letter in front at a
-  time, and match each new string.
+  time, and match each new string.  The expansion check matches one
+  reversed image at the start positions of its new letters.
 
 ``_find_square_scan`` is the plain (start, period) scan, kept only as the
 oracle the tests hold the pattern against.

@@ -1,11 +1,12 @@
 """Substitution through a pair, the blow-up check, and the growth bound."""
 
+import functools
 import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ternwords import (
@@ -14,6 +15,7 @@ from ternwords import (
     Word,
     builtin_pair,
     enumerate_square_free,
+    find_square,
     is_square_free,
     lower_bound,
     make_triple_pair,
@@ -24,6 +26,9 @@ from ternwords import (
     verify_expansion,
 )
 from ternwords import morphism
+from ternwords.words import _find_square_scan
+
+from test_search import relabelled
 
 
 def unverified_pair() -> TriplePair:
@@ -138,6 +143,160 @@ class TestVerifyExpansion:
         broken = TriplePair(u=builtin.u, v=(builtin.v[0], builtin.v[1], builtin.u[2]))
         with pytest.raises(ValueError, match="fails verification"):
             verify_expansion(broken, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _scan_square_free(normal: bytes) -> bool:
+    return _find_square_scan(Word(normal)) is None
+
+
+def scan_square_free(w: Word) -> bool:
+    """The cubic scan's verdict.  Renaming letters maps squares to squares,
+    so it is cached per word with its letters renamed in order of first
+    appearance, and the 48 relabellings of a pair share one scan per image."""
+    b = bytes(w)
+    first_seen = bytes(dict.fromkeys(b))
+    return _scan_square_free(b.translate(bytes.maketrans(first_seen, bytes(range(len(first_seen))))))
+
+
+def expansion_oracle(tp: TriplePair, n: int) -> tuple:
+    """(total, all square-free, all distinct) by the whole-image path: choice
+    strings in product order, ``substitute``, the cubic scan, and a set."""
+    words = list(enumerate_square_free(n))
+    all_sf, seen = True, set()
+    for x in words:
+        for tup in itertools.product("UV", repeat=n):
+            image = substitute(tp, x, "".join(tup))
+            all_sf = all_sf and scan_square_free(image)
+            seen.add(image)
+    total = len(words) * 2**n
+    return total, all_sf, len(seen) == total
+
+
+def snake_order(n: int):
+    """(word, choices) in verify_expansion's visiting order."""
+    forward = ["".join(t) for t in itertools.product("UV", repeat=n)]
+    for i, x in enumerate(enumerate_square_free(n)):
+        yield from ((x, ch) for ch in (forward[::-1] if i % 2 else forward))
+
+
+def first_square_oracle(tp: TriplePair, n: int):
+    """The first image in visiting order with a square, as (word, choices)."""
+    for x, ch in snake_order(n):
+        if not scan_square_free(substitute(tp, x, ch)):
+            return x, ch
+    return None
+
+
+def report_tuple(report) -> tuple:
+    return report.total, report.all_square_free, report.all_distinct
+
+
+def v2_with_letter_raised(tp: TriplePair, pos: int) -> TriplePair:
+    """The pair with V2[pos] raised by 1 mod 3."""
+    letters = bytearray(bytes(tp.v[2]))
+    letters[pos] = (letters[pos] + 1) % 3
+    return TriplePair(u=tp.u, v=(tp.v[0], tp.v[1], Word(letters)))
+
+
+class TestExpansionAgainstOracle:
+    """verify_expansion checks each image only past the prefix it shares
+    with the previous one; the oracle checks every image whole."""
+
+    @settings(
+        max_examples=300,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+        deadline=None,
+    )
+    @given(
+        # square-free blocks make images whose squares sit across block
+        # boundaries, where an off-by-one in the shared prefix would hide them
+        st.integers(2, 4).flatmap(
+            lambda k: st.lists(
+                st.one_of(
+                    st.sampled_from([w.letters for w in enumerate_square_free(k)]),
+                    st.lists(st.sampled_from([0, 1, 2]), min_size=k, max_size=k),
+                ),
+                min_size=6,
+                max_size=6,
+            )
+        ),
+        st.integers(0, 4),
+    )
+    def test_arbitrary_pairs_match_the_whole_image_oracle(self, monkeypatch, rows, n):
+        monkeypatch.setattr(morphism, "_require_verified", lambda tp: None)
+        tp = make_triple_pair([Word(r) for r in rows])
+        report = verify_expansion(tp, n)
+        assert report_tuple(report) == expansion_oracle(tp, n)
+        first = first_square_oracle(tp, n)
+        if first is None:
+            assert report.first_square is None
+        else:
+            assert report.first_square == (*first, _find_square_scan(substitute(tp, *first)))
+
+    def test_square_ending_from_matches_a_scan(self):
+        # every word of length <= 7 and every shared prefix length
+        for n in range(8):
+            for letters in itertools.product(b"\0\1\2", repeat=n):
+                image = bytes(letters)
+                ends = {
+                    start + 2 * period - 1
+                    for start in range(n)
+                    for period in range(1, (n - start) // 2 + 1)
+                    if image[start : start + period] == image[start + period : start + 2 * period]
+                }
+                for shared in range(n + 1):
+                    expected = any(end >= shared for end in ends)
+                    assert morphism._has_square_ending_from(image, shared) == expected
+
+    def test_builtin_and_its_relabellings(self, builtin):
+        for perm in itertools.permutations(range(3)):
+            for swaps in range(8):
+                tp = relabelled(builtin, perm, swaps)
+                for n in range(5):
+                    report = verify_expansion(tp, n)
+                    assert report_tuple(report) == expansion_oracle(tp, n), (perm, swaps, n)
+                    assert report.first_square is None
+
+    def test_whole_image_checks_only_where_nothing_is_shared(self, monkeypatch, builtin):
+        # at n=6 an image shares no prefix with the previous one only for
+        # the first image and at the two changes of first letter between
+        # words; where the first choice flips inside a word, U_a and V_a
+        # still share their first six letters
+        calls = {"substitute": 0, "is_square_free": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(morphism, name, counted(name, getattr(morphism, name)))
+        report = verify_expansion(builtin, 6)
+        assert report_tuple(report) == (2688, True, True)
+        assert calls == {"substitute": 2688, "is_square_free": 3}
+
+
+class TestFirstSquare:
+    @pytest.mark.parametrize(
+        "pos,expected",
+        [
+            (0, ("012", "VVV")),  # the first image of a word
+            (17, ("020", "UVU")),  # inside a word
+        ],
+    )
+    def test_first_failing_image_in_visiting_order(self, monkeypatch, builtin, pos, expected):
+        monkeypatch.setattr(morphism, "_require_verified", lambda tp: None)
+        tp = v2_with_letter_raised(builtin, pos)
+        report = verify_expansion(tp, 3)
+        assert not report.all_square_free
+        word, choices, witness = report.first_square
+        assert (str(word), choices) == expected
+        assert (word, choices) == first_square_oracle(tp, 3)
+        assert witness is not None
+        assert witness == find_square(substitute(tp, word, choices))
 
 
 class TestCountingInequality:
