@@ -13,7 +13,7 @@ Successful runs write nothing to the error stream.
 import argparse
 import sys
 
-from .words import ParseError, count_square_free, find_square, parse_word
+from .words import CountBudgetError, ParseError, count_square_free, find_square, parse_word
 from .triplepair import (
     _bool_text,
     builtin_pair,
@@ -52,7 +52,14 @@ def _load_pair(path: str):
 def _cmd_count(args) -> int:
     if args.n < 0:
         return _fail("n must be >= 0")
-    print(count_square_free(args.n))
+    try:
+        total = count_square_free(args.n, node_budget=args.nodes)
+    except ValueError as exc:
+        return _fail(str(exc))
+    except CountBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    print(total)
     return EXIT_OK
 
 
@@ -164,6 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="number of square-free words of length n")
     p.add_argument("n", type=int)
+    p.add_argument("--nodes", type=int, default=None, help="prefix visit budget")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("check", help="test a word for squares")

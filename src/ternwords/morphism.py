@@ -108,7 +108,7 @@ def _square_free_words(n: int, budget: int) -> list:
     """The square-free words of length n.  Raises ExpansionBudgetError as
     soon as the words drawn so far have more than ``budget`` images."""
     # a(n) >= 1, so 2^n alone can exceed the budget; that test is instant,
-    # and it keeps a huge n away from the enumeration's recursion.
+    # and it keeps a huge n from starting the enumeration at all.
     if 2**n > budget:
         raise ExpansionBudgetError(f"2^n * a(n) >= 2^n = {2**n} exceeds budget {budget}")
     words = []

@@ -22,20 +22,19 @@ module, and only pairs whose certificate passes are emitted.  Each cut
 exists once, in the searcher that applies it: ``prune_check`` runs that
 searcher on a fixed prefix, so tests can hold the cuts against verify.
 
-Each growing word is kept as its letters reversed in a byte string.
-Placing a letter prepends it, and ``SQUARE.match`` from the words module
-tells whether a square now ends at that letter.  Parallel runs shard the
-space by fixed-depth prefixes of the assignment sequence and merge shard
-results in lexicographic shard order, which keeps the emitted pair set
-independent of the shard count.  The pool never has more workers than
-shards or CPUs.  A search with a node budget runs in one process.
+Each growing word is kept as its letters reversed in a byte string, and
+``square_after`` from the words module tells whether a letter put in front
+would end a square, before the longer string is built.  Parallel runs
+shard the space by fixed-depth prefixes of the assignment sequence and
+merge shard results in lexicographic shard order, which keeps the emitted
+pair set independent of the shard count.  The pool never has more workers
+than shards or CPUs.  A search with a node budget runs in one process.
 """
 
-import multiprocessing
 import os
 from dataclasses import dataclass, replace
 
-from .words import LETTER_BYTES, SHIFT_TABLES, SQUARE, Word, shift
+from .words import LETTER_BYTES, SHIFT_TABLES, SQUARE, Word, shift, square_after
 from .triplepair import TriplePair, make_triple_pair, verify
 
 __all__ = ["SearchConfig", "SearchOutcome", "find_pairs", "prune_check", "canonicalize"]
@@ -218,10 +217,9 @@ class _ShiftSearcher(_SearcherBase):
             self.seq.pop()
 
     def _place_u(self, x: int) -> bool:
-        ru = LETTER_BYTES[x] + self.ru
-        if SQUARE.match(ru):
+        if square_after(len(self.ru))[x](self.ru):
             return False
-        self.ru = ru
+        self.ru = LETTER_BYTES[x] + self.ru
         return True
 
     def _complete_u(self) -> bool:
@@ -252,18 +250,14 @@ class _ShiftSearcher(_SearcherBase):
         return True
 
     def _place_v(self, pos: int, x: int) -> bool:
+        x1, x2 = (x + 1) % 3, (x + 2) % 3
+        cross = square_after(len(self.rb1))  # rb1 and rb2 have one length
+        if square_after(len(self.rv))[x](self.rv) or cross[x1](self.rb1) or cross[x2](self.rb2):
+            return False
         rv = LETTER_BYTES[x] + self.rv
-        if SQUARE.match(rv):
-            return False
-        rb1 = LETTER_BYTES[(x + 1) % 3] + self.rb1
-        if SQUARE.match(rb1):
-            return False
-        rb2 = LETTER_BYTES[(x + 2) % 3] + self.rb2
-        if SQUARE.match(rb2):
-            return False
         if rv in self.forbid.get(pos + 1, ()):
             return False
-        self.rv, self.rb1, self.rb2 = rv, rb1, rb2
+        self.rv, self.rb1, self.rb2 = rv, LETTER_BYTES[x1] + self.rb1, LETTER_BYTES[x2] + self.rb2
         return True
 
     def _leaf(self):
@@ -312,9 +306,9 @@ class _FullSearcher(_SearcherBase):
             self.seq.pop()
 
     def _place(self, w: int, pos: int, x: int) -> bool:
-        rev = LETTER_BYTES[x] + self.revs[w]
-        if SQUARE.match(rev):
+        if square_after(len(self.revs[w]))[x](self.revs[w]):
             return False
+        rev = LETTER_BYTES[x] + self.revs[w]
         # words earlier in the round already have length pos + 1
         if self.half <= pos + 1 < self.k and rev in self.revs[:w]:
             return False
@@ -390,6 +384,8 @@ def find_pairs(config: SearchConfig) -> SearchOutcome:
         out = _run_single(config)
         out.nodes_expanded += setup_nodes
         return out
+
+    import multiprocessing  # here, so that no other command pays for its import
 
     results = []
     seen = set()

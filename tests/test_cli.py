@@ -65,6 +65,27 @@ class TestCount:
     def test_non_integer_is_usage_error(self, capsys):
         assert run(["count", "six"], capsys)[0] == 2
 
+    def test_negative_budget_is_usage_error(self, capsys):
+        code, out, err = run(["count", "6", "--nodes", "-1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    def test_budget_exits_three(self):
+        # without the budget, a(5000) would never finish
+        proc = subprocess.run(
+            [sys.executable, "-m", "ternwords", "count", "5000", "--nodes", "1000"],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=10,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: node budget of 1000")
+
+    def test_budget_large_enough(self, capsys):
+        assert run(["count", "20", "--nodes", "1241"], capsys) == (0, "2388\n", "")
+
 
 class TestCheck:
     def test_square_free_word(self, capsys):

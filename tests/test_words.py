@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ternwords import (
+    CountBudgetError,
     ParseError,
     SquareWitness,
     Word,
@@ -20,15 +21,18 @@ from ternwords import (
     reverse,
     shift,
 )
-from ternwords.words import _find_square_scan
+from ternwords.words import SQUARE, _find_square_scan, square_after
 
 # a(0) .. a(14), cross-checked against the brute-force filter over all 3^n
 # words (test_counts_match_brute_force repeats that check up to n=10).
 COUNTS = (1, 3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264, 342, 456)
 
-# a(15) .. a(20): regression pins from the depth-first counter itself; the
-# recursion is identical to the brute-verified range above.
-COUNTS_TAIL = (618, 798, 1044, 1392, 1830, 2388)
+# a(15) .. a(30): regression pins, recorded from an earlier recursive counter
+# that tried all three letters at every step.
+COUNTS_TAIL = (
+    618, 798, 1044, 1392, 1830, 2388, 3180, 4146,
+    5418, 7032, 9198, 11892, 15486, 20220, 26424, 34422,
+)
 
 LETTER = st.sampled_from([0, 1, 2])
 
@@ -202,6 +206,25 @@ class TestKernelAgainstOracle:
         assert find_square(w) == _find_square_scan(w)
 
 
+class TestSquareAfter:
+    """The prepend form, capped at half the buffer's length, against the
+    pattern on the joined string, on every buffer, square-free or not."""
+
+    def test_exhaustive_up_to_length_10(self):
+        for n in range(0, 11):
+            for tup in itertools.product((0, 1, 2), repeat=n):
+                rev = bytes(tup)
+                for a in (0, 1, 2):
+                    joined = SQUARE.match(bytes((a,)) + rev) is not None
+                    assert (square_after(n)[a](rev) is not None) == joined, (a, tup)
+
+    @given(LETTER, st.lists(LETTER, max_size=80))
+    def test_random_buffers(self, a, letters):
+        rev = bytes(letters)
+        joined = SQUARE.match(bytes((a,)) + rev) is not None
+        assert (square_after(len(rev))[a](rev) is not None) == joined
+
+
 class TestIsSquareFree:
     def test_examples(self):
         assert is_square_free(Word([0, 1, 2, 0, 2, 1]))
@@ -281,6 +304,19 @@ class TestCounting:
         # stays snappy well past the lengths the rest of the suite uses
         assert count_square_free(30) == 34422
 
+    def test_node_budget(self):
+        # the walk for a(20) visits 1241 prefixes of the 0, 1 class: a(m) / 6
+        # summed over m = 2 .. 19
+        assert count_square_free(20, node_budget=1241) == 2388
+        with pytest.raises(CountBudgetError, match="node budget of 1240"):
+            count_square_free(20, node_budget=1240)
+        with pytest.raises(CountBudgetError):
+            count_square_free(3, node_budget=0)
+        # below length 3 nothing is walked: the walk starts from the word 0, 1
+        assert [count_square_free(n, node_budget=0) for n in (0, 1, 2)] == [1, 3, 6]
+        with pytest.raises(ValueError):
+            count_square_free(20, node_budget=-1)
+
 
 class TestEnumeration:
     def test_zero_length(self):
@@ -315,9 +351,27 @@ class TestEnumeration:
             ]
             assert [w.letters for w in enumerate_square_free(n)] == brute
 
+    def test_matches_sorted_pattern_filter_up_to_12(self):
+        # the filter runs the whole-word search, which TestKernelAgainstOracle
+        # holds against the cubic scan; the expansion check's snake order and
+        # first_square rely on this order
+        for n in range(0, 13):
+            brute = sorted(
+                letters
+                for letters in map(bytes, itertools.product((0, 1, 2), repeat=n))
+                if SQUARE.search(letters) is None
+            )
+            words = SQUARE_FREE_12 if n == 12 else enumerate_square_free(n)
+            assert [bytes(w) for w in words] == brute, n
+
     def test_counts_agree(self):
         for n in range(0, 11):
             assert sum(1 for _ in enumerate_square_free(n)) == count_square_free(n)
+
+    def test_long_word_without_recursion(self):
+        w = next(enumerate_square_free(1200))
+        assert len(w) == 1200
+        assert is_square_free(w)
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
