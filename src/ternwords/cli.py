@@ -14,6 +14,7 @@ import argparse
 import sys
 
 from .words import CountBudgetError, ParseError, count_square_free, find_square, parse_word
+from .words import DEFAULT_COUNT_BUDGET
 from .triplepair import (
     _bool_text,
     builtin_pair,
@@ -171,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="number of square-free words of length n")
     p.add_argument("n", type=int)
-    p.add_argument("--nodes", type=int, default=None, help="prefix visit budget")
+    p.add_argument("--nodes", type=int, default=DEFAULT_COUNT_BUDGET, help="prefix visit budget")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("check", help="test a word for squares")

@@ -17,10 +17,12 @@ completion can satisfy the definition):
   U0 . shift(V0-prefix, d), or the completed U0 fails its own
   concatenation and head/tail conditions.
 
-Complete assignments get the full certificate check from the triplepair
-module, and only pairs whose certificate passes are emitted.  Each cut
-exists once, in the searcher that applies it: ``prune_check`` runs that
-searcher on a fixed prefix, so tests can hold the cuts against verify.
+Each complete assignment gets one full certificate check, a ``verify``
+call of the triplepair module on words read off the reversed buffers;
+most fail, and verify's shared check objects keep that cheap.  Only pairs
+whose certificate passes are emitted.  Each cut exists once, in the
+searcher that applies it: ``prune_check`` runs that searcher on a fixed
+prefix, so tests can hold the cuts against verify.
 
 Each growing word is kept as its letters reversed in a byte string, and
 ``square_after`` from the words module tells whether a letter put in front
@@ -261,12 +263,10 @@ class _ShiftSearcher(_SearcherBase):
         return True
 
     def _leaf(self):
-        k = self.k
-        u0 = Word._wrap(bytes(self.seq[:k]))  # letters come from (0, 1, 2)
-        v0 = Word._wrap(bytes(self.seq[k:]))
+        u0, v0 = self.ru[::-1], self.rv[::-1]
         pair = TriplePair(
-            u=(u0, shift(u0, 1), shift(u0, 2)),
-            v=(v0, shift(v0, 1), shift(v0, 2)),
+            u=tuple(Word._wrap(u0.translate(t)) for t in SHIFT_TABLES),
+            v=tuple(Word._wrap(v0.translate(t)) for t in SHIFT_TABLES),
         )
         if verify(pair).verdict:
             self._record(pair)
@@ -316,7 +316,7 @@ class _FullSearcher(_SearcherBase):
         return True
 
     def _leaf(self):
-        words = [Word._wrap(bytes(self.seq[w :: self.WORDS])) for w in range(self.WORDS)]
+        words = [Word._wrap(r[::-1]) for r in self.revs]
         pair = make_triple_pair(words)  # file order U0, V0, U1, V1, U2, V2
         if verify(pair).verdict:
             self._record(pair)

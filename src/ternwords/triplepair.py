@@ -17,16 +17,19 @@ Certificate that records every individual check.  ``certificate_text``
 renders it in a fixed line-oriented format suitable for golden-file
 comparison.
 
-Both checks read the six words once as byte strings.  Each concatenation's
-witness comes from ``find_square`` of the words module, through a bounded
-cache keyed by the concatenation relabelled by the cyclic letter shift that
-makes its first letter 0.  A letter bijection maps every factor xx to a
-factor of the same start and period and back, so a word and its shifts have
-the same witness (smallest start, then smallest period), and one cache
-entry serves all three.  The pair search verifies many leaves that share
-U0 and all of whose other words are shifts of U0 and V0, so most lookups
-hit.  The head/tail check tests each length r with one set of the 12
-factors and scans pairs in report order only when two of them coincide.
+Both checks read the six words once as byte strings, and build each word's
+shifts by 1 and 2 once.  Checks are frozen, so equal ones are one shared
+object: a concatenation's 24 checks, one per emission slot, come from a
+bounded cache keyed by the concatenation relabelled by the cyclic letter
+shift that makes its first letter 0, and are the shared passing checks or
+failing ones shared per witness.  A letter bijection maps every factor xx
+to a factor of the same start and period and back, so a word and its
+shifts have the same witness (smallest start, then smallest period), and
+one cache entry serves all three.  The pair search verifies many leaves
+that share U0 and all of whose other words are shifts of U0 and V0, so
+most lookups hit.  The head/tail check tests each length r with one set of
+the 12 factors, looks for the first colliding pair only when two coincide,
+and shares its checks per (r, collision).
 """
 
 import functools
@@ -134,45 +137,57 @@ class HeadTailCheck:
 
 
 # The 24 concatenations in emission order: the file-order slots (U0, V0,
-# U1, V1, U2, V2 are 0..5) of the two halves, and the shared passing check.
+# U1, V1, U2, V2 are 0..5) of the two halves, and the shared passing checks.
 _CONCAT_PLAN = tuple(
-    (2 * i + (x == "V"), 2 * j + (y == "V"), ConcatCheck(f"{i}{x}{j}{y}", None))
+    (2 * i + (x == "V"), 2 * j + (y == "V"))
     for i, j in CONCAT_INDEX_PAIRS
     for x, y in CONCAT_CHOICES
+)
+_PASSING_CONCATS = tuple(
+    ConcatCheck(f"{i}{x}{j}{y}", None) for i, j in CONCAT_INDEX_PAIRS for x, y in CONCAT_CHOICES
 )
 
 
 def concatenation_words(tp: TriplePair) -> list:
     """The 24 labelled length-2k concatenations, in the fixed emission order."""
     words = tp.words_in_file_order()
-    return [(c.label, words[a] + words[b]) for a, b, c in _CONCAT_PLAN]
+    return [(c.label, words[a] + words[b]) for (a, b), c in zip(_CONCAT_PLAN, _PASSING_CONCATS)]
 
 
 def _letter_bytes(tp: TriplePair) -> tuple:
     """The six words in file order, as byte strings of their letters."""
-    return tuple(map(bytes, tp.words_in_file_order()))
+    (u0, u1, u2), (v0, v1, v2) = tp.u, tp.v
+    return (u0._bytes, v0._bytes, u1._bytes, v1._bytes, u2._bytes, v2._bytes)
+
+
+@functools.lru_cache(maxsize=1024)
+def _failing_concats(witness: SquareWitness) -> tuple:
+    return tuple(ConcatCheck(c.label, witness) for c in _PASSING_CONCATS)
 
 
 @functools.lru_cache(maxsize=4096)
-def _normalized_witness(letters: bytes) -> "SquareWitness | None":
+def _concat_witness_checks(letters: bytes) -> tuple:
     # letters starts with 0; the module docstring says why this key is enough.
-    return find_square(Word._wrap(letters))
+    witness = find_square(Word._wrap(letters))
+    return _PASSING_CONCATS if witness is None else _failing_concats(witness)
 
 
-def _concat_checks(ws: tuple) -> list:
-    out = []
-    for a, b, passed in _CONCAT_PLAN:
-        w = ws[a] + ws[b]
-        if w[0]:
-            w = w.translate(SHIFT_TABLES[3 - w[0]])
-        witness = _normalized_witness(w)
-        out.append(passed if witness is None else ConcatCheck(passed.label, witness))
-    return out
+def _shifts(ws: tuple) -> list:
+    """Each word's letters shifted by 0, 1 and 2."""
+    return [(w, w.translate(SHIFT_TABLES[1]), w.translate(SHIFT_TABLES[2])) for w in ws]
+
+
+def _concat_checks(shifted: list) -> list:
+    cs = [-s[0][0] % 3 for s in shifted]  # the shift that makes each word start with 0
+    checks = _concat_witness_checks
+    return [
+        checks(shifted[a][cs[a]] + shifted[b][cs[a]])[i] for i, (a, b) in enumerate(_CONCAT_PLAN)
+    ]
 
 
 def check_concatenations(tp: TriplePair) -> list:
     """The square witness of each of the 24 concatenations, in emission order."""
-    return _concat_checks(_letter_bytes(tp))
+    return _concat_checks(_shifts(_letter_bytes(tp)))
 
 
 def head_tail_range(k: int) -> range:
@@ -189,6 +204,12 @@ def heads_and_tails(tp: TriplePair, r: int) -> list:
     return [w[:r] for w in sources] + [w[len(w) - r :] for w in sources]
 
 
+@functools.lru_cache(maxsize=4096)
+def _headtail_check(r: int, a=None, b=None) -> HeadTailCheck:
+    # a, b: the first colliding pair's indices in HEADTAIL_LABELS, if any
+    return HeadTailCheck(r, None if a is None else (HEADTAIL_LABELS[a], HEADTAIL_LABELS[b]))
+
+
 def _headtail_checks(ws: tuple, k: int) -> list:
     u0, v0, u1, v1, u2, v2 = ws
     out = []
@@ -198,15 +219,12 @@ def _headtail_checks(ws: tuple, k: int) -> list:
             u0[:r], u1[:r], u2[:r], v0[:r], v1[:r], v2[:r],
             u0[t:], u1[t:], u2[t:], v0[t:], v1[t:], v2[t:],
         )  # in HEADTAIL_LABELS order
-        collision = None
         if len(set(items)) < 12:
-            collision = next(
-                (HEADTAIL_LABELS[a], HEADTAIL_LABELS[b])
-                for a in range(12)
-                for b in range(a + 1, 12)
-                if items[a] == items[b]
-            )
-        out.append(HeadTailCheck(r=r, collision=collision))
+            # the smallest a with a later equal item, then the smallest such b
+            a = next(a for a in range(11) if items[a] in items[a + 1 :])
+            out.append(_headtail_check(r, a, items.index(items[a], a + 1)))
+        else:
+            out.append(_headtail_check(r))
     return out
 
 
@@ -239,19 +257,15 @@ class Certificate:
 def verify(tp: TriplePair) -> Certificate:
     """Evaluate both defining conditions exhaustively."""
     ws = _letter_bytes(tp)
-    u0, v0 = ws[0], ws[1]
-    sym = all(
-        ws[2 * c] == u0.translate(SHIFT_TABLES[c])
-        and ws[2 * c + 1] == v0.translate(SHIFT_TABLES[c])
-        for c in (1, 2)
-    )
-    pal = u0 == u0[::-1] and v0 == v0[::-1]
+    shifted = _shifts(ws)
+    (u0, u1, u2), (v0, v1, v2) = shifted[0], shifted[1]
+    k = len(u0)
     return Certificate(
-        k=tp.k,
-        concat_results=tuple(_concat_checks(ws)),
-        headtail_results=tuple(_headtail_checks(ws, tp.k)),
-        shift_symmetric=sym,
-        palindromic_base=pal,
+        k=k,
+        concat_results=tuple(_concat_checks(shifted)),
+        headtail_results=tuple(_headtail_checks(ws, k)),
+        shift_symmetric=ws[2:] == (u1, v1, u2, v2),
+        palindromic_base=u0 == u0[::-1] and v0 == v0[::-1],
     )
 
 

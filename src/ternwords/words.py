@@ -52,6 +52,7 @@ from typing import Iterable, Iterator, NamedTuple
 __all__ = [
     "ALPHABET",
     "CountBudgetError",
+    "DEFAULT_COUNT_BUDGET",
     "ParseError",
     "SquareWitness",
     "Word",
@@ -93,6 +94,11 @@ def square_after(length: int) -> tuple:
 
 class ParseError(ValueError):
     """Text could not be read as a ternary word."""
+
+
+# The prefixes ``count`` visits unless told otherwise: enough for a(53)
+# (8257432 prefixes), not for a(54) (10750196).
+DEFAULT_COUNT_BUDGET = 10**7
 
 
 class CountBudgetError(RuntimeError):

@@ -11,6 +11,7 @@ import pytest
 
 import ternwords
 from ternwords import builtin_pair, make_triple_pair, pair_text, parse_word, verify
+from ternwords import cli
 from ternwords.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -85,6 +86,16 @@ class TestCount:
 
     def test_budget_large_enough(self, capsys):
         assert run(["count", "20", "--nodes", "1241"], capsys) == (0, "2388\n", "")
+
+    def test_default_budget_stops_a_long_count(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DEFAULT_COUNT_BUDGET", 1000)
+        code, out, err = run(["count", "500"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: node budget of 1000")
+
+    def test_default_budget_reaches_a42(self, capsys):
+        # a(42) visits 452767 prefixes
+        assert run(["count", "42"], capsys) == (0, "821154\n", "")
 
 
 class TestCheck:

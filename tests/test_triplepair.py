@@ -1,5 +1,6 @@
 """Triple-pair construction, the two defining checks, certificates, file IO."""
 
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from ternwords import (
     ParseError,
+    SearchConfig,
     SquareWitness,
     TriplePair,
     Word,
@@ -16,6 +18,7 @@ from ternwords import (
     check_concatenations,
     check_head_tail_condition,
     concatenation_words,
+    find_pairs,
     head_tail_range,
     heads_and_tails,
     make_triple_pair,
@@ -24,10 +27,12 @@ from ternwords import (
     parse_word,
     read_pair_file,
     reverse,
+    search,
     shift,
+    triplepair,
     verify,
 )
-from ternwords.triplepair import HEADTAIL_LABELS, _normalized_witness
+from ternwords.triplepair import HEADTAIL_LABELS, _concat_witness_checks
 from ternwords.words import _find_square_scan, enumerate_square_free
 
 DATA = Path(__file__).parent / "data"
@@ -393,11 +398,25 @@ def six_words(draw):
     return make_triple_pair(words)
 
 
+def search_leaves(monkeypatch, config: SearchConfig) -> list:
+    """Every pair the search for ``config`` hands to verify, in call order."""
+    leaves = []
+
+    def recording_verify(tp):
+        leaves.append(tp)
+        return verify(tp)
+
+    with monkeypatch.context() as m:
+        m.setattr(search, "verify", recording_verify)
+        find_pairs(config)
+    return leaves
+
+
 class TestVerifyAgainstOracle:
-    """verify's byte-level checks and witness cache give the oracle's certificate."""
+    """verify's byte-level checks and check cache give the oracle's certificate."""
 
     def test_witness_cache_is_bounded(self):
-        assert _normalized_witness.cache_info().maxsize == 4096
+        assert _concat_witness_checks.cache_info().maxsize == 4096
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_every_symmetric_pair_up_to_k5(self, k):
@@ -409,14 +428,59 @@ class TestVerifyAgainstOracle:
     def test_arbitrary_six_words(self, tp):
         assert certificate_text(verify(tp)) == reference_certificate(tp)
 
+    @pytest.mark.parametrize(
+        "config, calls",
+        [
+            *(
+                pytest.param(SearchConfig(k=k, first_letter=None), n, id=f"shift-k{k}")
+                for k, n in zip(range(2, 19), [0] * 11 + [12, 0, 0, 0, 42, 168])
+            ),
+            pytest.param(
+                SearchConfig(k=2, shift_symmetry=False, first_letter=None), 0, id="relaxed-k2"
+            ),
+            pytest.param(SearchConfig(k=3, shift_symmetry=False), 15360, id="relaxed-k3"),
+        ],
+    )
+    def test_search_leaves(self, monkeypatch, config, calls):
+        # calls counts verify at the leaves and on each found pair's canonical form
+        leaves = search_leaves(monkeypatch, config)
+        assert len(leaves) == calls
+        for tp in leaves[:: 1 if config.shift_symmetry else 16]:
+            assert certificate_text(verify(tp)) == reference_certificate(tp), tp
+
+    @pytest.mark.parametrize("k, first, calls", [(23, 0, 3796), (25, 2, 10020)])
+    def test_cold_search_square_calls(self, monkeypatch, k, first, calls):
+        # the cache's key and bound decide how often a search runs find_square
+        counted = []
+        real = triplepair.find_square
+        monkeypatch.setattr(triplepair, "find_square", lambda w: counted.append(w) or real(w))
+        _concat_witness_checks.cache_clear()
+        find_pairs(SearchConfig(k=k, first_letter=first))
+        assert len(counted) == calls
+
+    def test_checks_are_frozen_and_shared(self, builtin):
+        cert = verify(tiny_pair())
+        for obj, field in (
+            (cert.concat_results[0], "witness"),
+            (cert.headtail_results[0], "collision"),
+            (cert, "k"),
+        ):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, field, None)
+        for tp in (tiny_pair(), builtin):  # failing and passing checks
+            first, again = verify(tp), verify(tp)
+            checks = zip(first.concat_results + first.headtail_results,
+                         again.concat_results + again.headtail_results)
+            assert all(a is b for a, b in checks)
+
     def test_cold_and_warm_cache(self, builtin):
         pairs = [builtin, tiny_pair(), *symmetric_pairs(4)]
         expected = [reference_certificate(tp) for tp in pairs]
-        _normalized_witness.cache_clear()
+        _concat_witness_checks.cache_clear()
         cold = [certificate_text(verify(tp)) for tp in pairs]
-        misses = _normalized_witness.cache_info().misses
+        misses = _concat_witness_checks.cache_info().misses
         warm = [certificate_text(verify(tp)) for tp in pairs]
-        info = _normalized_witness.cache_info()
+        info = _concat_witness_checks.cache_info()
         assert cold == expected
         assert warm == expected
         assert info.misses == misses  # the second pass is served from the cache
