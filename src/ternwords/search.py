@@ -33,7 +33,7 @@ pair set independent of the shard count.  The pool never has more workers
 than shards or CPUs.  A search with a node budget runs in one process.
 """
 
-import os
+from contextlib import closing
 from dataclasses import dataclass, replace
 
 from .words import LETTER_BYTES, SHIFT_TABLES, SQUARE, Word, shift, square_after
@@ -264,9 +264,9 @@ class _ShiftSearcher(_SearcherBase):
 
     def _leaf(self):
         u0, v0 = self.ru[::-1], self.rv[::-1]
-        pair = TriplePair(
-            u=tuple(Word._wrap(u0.translate(t)) for t in SHIFT_TABLES),
-            v=tuple(Word._wrap(v0.translate(t)) for t in SHIFT_TABLES),
+        pair = TriplePair._wrap(
+            tuple(Word._wrap(u0.translate(t)) for t in SHIFT_TABLES),
+            tuple(Word._wrap(v0.translate(t)) for t in SHIFT_TABLES),
         )
         if verify(pair).verdict:
             self._record(pair)
@@ -316,8 +316,9 @@ class _FullSearcher(_SearcherBase):
         return True
 
     def _leaf(self):
+        # revs are in file order U0, V0, U1, V1, U2, V2
         words = [Word._wrap(r[::-1]) for r in self.revs]
-        pair = make_triple_pair(words)  # file order U0, V0, U1, V1, U2, V2
+        pair = TriplePair._wrap(tuple(words[0::2]), tuple(words[1::2]))
         if verify(pair).verdict:
             self._record(pair)
 
@@ -385,20 +386,15 @@ def find_pairs(config: SearchConfig) -> SearchOutcome:
         out.nodes_expanded += setup_nodes
         return out
 
-    import multiprocessing  # here, so that no other command pays for its import
+    from ._pool import pool_imap  # here, so that commands without a pool do not load it
 
     results = []
     seen = set()
     nodes = setup_nodes
     exhausted = True
     truncated = False
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover
-        ctx = multiprocessing.get_context()
-    workers = min(config.parallel_shards, len(prefixes), os.cpu_count() or 1)
-    with ctx.Pool(processes=workers) as pool:
-        stream = pool.imap(_shard_worker, [(config, p) for p in prefixes])
+    tasks = [(config, p) for p in prefixes]
+    with closing(pool_imap(_shard_worker, tasks, config.parallel_shards)) as stream:
         for pairs, shard_nodes, shard_exhausted in stream:
             nodes += shard_nodes
             if not shard_exhausted:

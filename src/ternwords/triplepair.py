@@ -91,6 +91,15 @@ class TriplePair:
         if k < 2:
             raise ValueError(f"degenerate length k={k}: a triple-pair needs k >= 2")
 
+    @classmethod
+    def _wrap(cls, u: tuple, v: tuple) -> "TriplePair":
+        # Internal constructor for words that are already valid, as the
+        # search's leaves are: it skips the checks of __post_init__.
+        tp = object.__new__(cls)
+        object.__setattr__(tp, "u", u)
+        object.__setattr__(tp, "v", v)
+        return tp
+
     @property
     def k(self) -> int:
         return len(self.u[0])

@@ -27,7 +27,12 @@ Counting and enumeration share one private walker, ``_walk``, with an
 explicit stack in place of recursion, so any length is reachable.  It
 proposes only the two letters that differ from the one just placed (a
 repeated letter is a square) and hands back each word as its reversed
-prefix and last letter, so ``count_square_free`` builds no word.
+prefix and last letter, so ``count_square_free`` builds no word.  Its
+subtrees share nothing, so a long count can split the walk: this process
+walks down to a fixed depth and forked workers (the package's one pool, in
+the private ``_pool`` module) walk the subtrees below it, and the counts
+add up.  A node budget counts the prefixes of all those walks together,
+so it means the same on both paths.
 
 ``_find_square_scan`` is the plain (start, period) scan, kept only as the
 oracle the tests hold the pattern against.
@@ -46,7 +51,9 @@ such containers serve membership tests and sizes only.
 
 import functools
 import re
+from contextlib import closing
 from itertools import repeat
+from operator import length_hint
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -235,21 +242,20 @@ def reverse(w: Word) -> Word:
     return Word._wrap(bytes(w)[::-1])
 
 
-def _walk(n: int, starts, node_budget: "int | None" = None):
+def _walk(n: int, starts, turns):
     """Yield (rev, a) for every square-free word of length n that extends
     one of ``starts`` (reversed non-empty square-free words shorter than
-    n): a is its last letter and rev the others, reversed.  Words come in
-    start order, then lexicographic order.  Each prefix popped from the
-    stack counts against ``node_budget``; CountBudgetError is raised when
-    the budget is spent with prefixes left."""
+    n, at least one): a is its last letter and rev the others, reversed.
+    Words come in start order, then lexicographic order.  Each prefix
+    popped from the stack takes one item of the iterator ``turns``, so
+    ``operator.length_hint(turns)`` afterwards is the budget left; a bare
+    CountBudgetError is raised when ``turns`` runs out with prefixes left."""
     stack = list(reversed(starts))
     pop, push = stack.pop, stack.append
     last = n - 1
     # one turn per visited prefix; a budget only bounds the turns, so it
     # adds no test per prefix
-    for _ in repeat(None) if node_budget is None else repeat(None, node_budget):
-        if not stack:
-            return
+    for _ in turns:
         rev = pop()
         length = len(rev)
         square = square_after(length)
@@ -265,13 +271,58 @@ def _walk(n: int, starts, node_budget: "int | None" = None):
                 yield rev, b
             if square[c](rev) is None:
                 yield rev, c
-    if stack:
-        raise CountBudgetError(
-            f"node budget of {node_budget} prefixes exhausted before a({n}) was counted"
-        )
+        if not stack:
+            return
+    raise CountBudgetError
 
 
-def count_square_free(n: int, node_budget: "int | None" = None) -> int:
+def _turns(budget: "int | None"):
+    return repeat(None) if budget is None else repeat(None, budget)
+
+
+# The parallel count: the parent walks the 0,1 class to its 24 words of
+# length _SPLIT_DEPTH (59 prefixes), and the subtree below each of them is
+# one pool task.  _PARALLEL_MIN_N is the shortest length where that beat
+# one process in every round of a timed crossover; it exceeds _SPLIT_DEPTH.
+_SPLIT_DEPTH = 10
+_PARALLEL_MIN_N = 37
+_START = b"\x01\x00"  # the word 0, 1 reversed
+
+
+def _count_subtree(task) -> "tuple[int, int | None]":
+    """Pool task: the words of length n below one reversed prefix, and the
+    prefixes walked (None without a budget)."""
+    n, start, budget = task
+    turns = _turns(budget)
+    words = sum(1 for _ in _walk(n, (start,), turns))
+    return words, None if budget is None else budget - length_hint(turns)
+
+
+def _count_parallel(n: int, turns, budget: "int | None", workers: int) -> int:
+    """Words of length n in the 0,1 class, walked as subtrees on a pool.
+
+    ``turns`` is the caller's budget iterator; the parent's walk to the
+    split depth takes from it, and each subtree may take what is left.
+    The pool stops at the first subtree that overruns that or puts the
+    total past ``budget``, with a bare CountBudgetError.
+    """
+    from ._pool import pool_imap  # here, so that commands without a pool do not load it
+
+    starts = [LETTER_BYTES[a] + rev for rev, a in _walk(_SPLIT_DEPTH, (_START,), turns)]
+    left = None if budget is None else length_hint(turns)
+    tasks = [(n, start, left) for start in starts]
+    total = 0
+    with closing(pool_imap(_count_subtree, tasks, workers)) as results:
+        for words, walked in results:
+            total += words
+            if left is not None:
+                left -= walked
+                if left < 0:
+                    raise CountBudgetError
+    return total
+
+
+def count_square_free(n: int, node_budget: "int | None" = None, workers: int = 1) -> int:
     """Number of square-free words of length n (1 for the empty word).
 
     Words are counted in classes under the six permutations of the
@@ -279,7 +330,21 @@ def count_square_free(n: int, node_budget: "int | None" = None) -> int:
     distinct letters, the permutation group moves the class with first
     letters 0,1 onto each of the six ordered pairs, and permutations
     preserve square-freeness.  So only the 0,1 class is walked and the
-    count is multiplied by 6.  ``node_budget`` caps the prefixes visited.
+    count is multiplied by 6.
+
+    With ``workers`` >= 2 and n >= ``_PARALLEL_MIN_N`` the walk is split:
+    this process walks the class down to the words of length
+    ``_SPLIT_DEPTH``, and the subtree below each of them is counted in a
+    forked worker process, at most ``workers`` and at most one per CPU.
+    The subtrees share nothing, so their counts add up.  Otherwise, and
+    always for shorter n, one process walks the whole class.
+
+    ``node_budget`` caps the prefixes visited, with the same meaning on
+    both paths: the prefixes of the parent's walk plus those of every
+    subtree equal the one-process count, and the count succeeds exactly
+    when that total is at most ``node_budget``.  Otherwise
+    CountBudgetError names the budget and n.  A parallel count that
+    overruns may have done more work than the budget before it stops.
     """
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
@@ -287,7 +352,15 @@ def count_square_free(n: int, node_budget: "int | None" = None) -> int:
         raise ValueError(f"node budget must be >= 0, got {node_budget}")
     if n < 3:
         return (1, 3, 6)[n]
-    return 6 * sum(1 for _ in _walk(n, (b"\x01\x00",), node_budget))  # the word 0, 1 reversed
+    turns = _turns(node_budget)
+    try:
+        if workers >= 2 and n >= _PARALLEL_MIN_N:
+            return 6 * _count_parallel(n, turns, node_budget, workers)
+        return 6 * sum(1 for _ in _walk(n, (_START,), turns))
+    except CountBudgetError:
+        raise CountBudgetError(
+            f"node budget of {node_budget} prefixes exhausted before a({n}) was counted"
+        ) from None
 
 
 def enumerate_square_free(n: int) -> Iterator[Word]:
@@ -297,5 +370,5 @@ def enumerate_square_free(n: int) -> Iterator[Word]:
     if n < 2:
         yield from map(Word._wrap, LETTER_BYTES if n else (b"",))
         return
-    for rev, a in _walk(n, LETTER_BYTES):
+    for rev, a in _walk(n, LETTER_BYTES, repeat(None)):
         yield Word._wrap((LETTER_BYTES[a] + rev)[::-1])

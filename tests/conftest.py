@@ -1,8 +1,22 @@
 import pytest
 
-from ternwords import builtin_pair
+from ternwords import _pool, builtin_pair
 
 
 @pytest.fixture(scope="session")
 def builtin():
     return builtin_pair()
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """Run the pool's tasks in this process, so that no worker process
+    starts; the list gets the size of each pool made."""
+    sizes = []
+
+    def inline_imap(fn, tasks, size):
+        sizes.append(size)
+        yield from map(fn, tasks)
+
+    monkeypatch.setattr(_pool, "_imap", inline_imap)
+    return sizes

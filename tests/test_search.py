@@ -1,7 +1,6 @@
 """Search: configuration, prune soundness, canonical forms, completeness."""
 
 import itertools
-import multiprocessing
 import os
 import random
 from dataclasses import replace
@@ -403,29 +402,9 @@ class TestSharding:
 class TestShardPool:
     """The pool is sized from the shards, the prefixes and the CPUs.
 
-    An in-process stand-in replaces the fork context's Pool, so these tests
-    start no worker process at all.
+    The ``pool_sizes`` fixture (conftest.py) runs the pool's tasks in this
+    process, so these tests start no worker process at all.
     """
-
-    @pytest.fixture()
-    def pool_sizes(self, monkeypatch):
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InlinePool)
-        return sizes
 
     @pytest.mark.parametrize(
         "shards,cpus,workers", [(50, 3, 3), (50, None, 1), (2, 8, 2)]

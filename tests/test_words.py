@@ -1,7 +1,10 @@
 """Word layer: parsing, the square pattern against its oracle, counting, enumeration."""
 
 import itertools
+import os
 import random
+from itertools import repeat
+from operator import length_hint
 
 import pytest
 from hypothesis import given
@@ -21,6 +24,7 @@ from ternwords import (
     reverse,
     shift,
 )
+from ternwords import words
 from ternwords.words import SQUARE, _find_square_scan, square_after
 
 # a(0) .. a(14), cross-checked against the brute-force filter over all 3^n
@@ -316,6 +320,68 @@ class TestCounting:
         assert [count_square_free(n, node_budget=0) for n in (0, 1, 2)] == [1, 3, 6]
         with pytest.raises(ValueError):
             count_square_free(20, node_budget=-1)
+
+
+class TestParallelCount:
+    """count_square_free(n, workers=w) sums the subtrees below the split
+    depth on a pool, with the one-process count and budget outcome."""
+
+    @pytest.fixture()
+    def low_threshold(self, monkeypatch):
+        monkeypatch.setattr(words, "_PARALLEL_MIN_N", words._SPLIT_DEPTH + 1)
+
+    def test_split(self):
+        turns = repeat(None, 1000)
+        starts = list(words._walk(words._SPLIT_DEPTH, (words._START,), turns))
+        assert len(starts) == 24
+        assert 1000 - length_hint(turns) == 59  # prefixes the parent walks
+
+    def test_equals_one_process(self, low_threshold):
+        for n in range(words._SPLIT_DEPTH + 1, 37):
+            assert count_square_free(n, workers=2) == count_square_free(n), n
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_budget_is_exact_at_42(self, workers):
+        # the one-process walk for a(42) visits 452767 prefixes
+        assert count_square_free(42, node_budget=452767, workers=workers) == 821154
+        with pytest.raises(
+            CountBudgetError,
+            match=r"^node budget of 452766 prefixes exhausted before a\(42\) was counted$",
+        ):
+            count_square_free(42, node_budget=452766, workers=workers)
+
+    def test_budget_is_exact_at_20(self, low_threshold):
+        assert count_square_free(20, node_budget=1241, workers=2) == 2388
+        with pytest.raises(
+            CountBudgetError,
+            match=r"^node budget of 1240 prefixes exhausted before a\(20\) was counted$",
+        ):
+            count_square_free(20, node_budget=1240, workers=2)
+
+    @pytest.mark.parametrize("budget", [0, 58, 59, 100])
+    def test_budget_error_names_the_callers_budget(self, budget):
+        # the parent walks 59 prefixes to the split depth; from 59 on, the
+        # budget runs out in the first subtree, inside a worker
+        with pytest.raises(
+            CountBudgetError,
+            match=rf"^node budget of {budget} prefixes exhausted before a\(42\) was counted$",
+        ):
+            count_square_free(42, node_budget=budget, workers=2)
+
+    @pytest.mark.parametrize(
+        "workers,cpus,size", [(2, 8, 2), (50, 3, 3), (50, None, 1), (10**6, 10**6, 24)]
+    )
+    def test_workers_capped(self, monkeypatch, pool_sizes, workers, cpus, size):
+        n = words._PARALLEL_MIN_N
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert count_square_free(n, workers=workers) == count_square_free(n)
+        assert pool_sizes == [size]  # workers, CPUs and the 24 subtrees cap it
+
+    def test_one_process_below_the_threshold(self, pool_sizes):
+        n = words._PARALLEL_MIN_N
+        count_square_free(n - 1, workers=8)
+        count_square_free(n, workers=1)
+        assert pool_sizes == []
 
 
 class TestEnumeration:
