@@ -6,6 +6,10 @@ a task function and its arguments need no re-import and start in the
 caller's state.  ``multiprocessing`` is imported when the generator
 starts, so commands that never use the pool do not pay for it.
 
+Results come in task order because a sharded search needs it: with a
+result limit it must keep the first pairs of the one-process order, and
+report the same node count on every run.
+
 Each worker talks to the caller over a pipe of its own, one task at a
 time, and shares no lock with anything.  So a worker can be killed at any
 moment.  ``multiprocessing.Pool`` does not allow that: its workers send
@@ -17,26 +21,41 @@ forever.  A count stopped by its budget hung that way.
 import os
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def context():
+    """The ``multiprocessing`` context the pool's workers start in; shared
+    objects that a task function takes must come from it."""
+    import multiprocessing
+
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover
+        return multiprocessing.get_context()
+
+
 def pool_imap(fn, tasks: list, workers: int):
     """Yield ``fn(task)`` for each task, in task order, computed by at most
-    ``min(workers, len(tasks), os.cpu_count() or 1)`` worker processes.
+    ``min(workers, len(tasks), usable_cpus())`` worker processes.
 
     An exception raised by ``fn`` reaches the caller when its result is
     due.  After the last result every worker is told to exit and joined;
     closing the generator before that, or an exception, terminates the
     workers and joins them instead.
     """
-    return _imap(fn, tasks, min(workers, len(tasks), os.cpu_count() or 1))
+    return _imap(fn, tasks, min(workers, len(tasks), usable_cpus()))
 
 
 def _imap(fn, tasks: list, size: int):
-    import multiprocessing
     from multiprocessing.connection import wait
 
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover
-        ctx = multiprocessing.get_context()
+    ctx = context()
     pending = enumerate(tasks)
     busy = set()  # connections of workers with a task in flight, one each
     procs = []

@@ -11,7 +11,6 @@ Successful runs write nothing to the error stream.
 """
 
 import argparse
-import os
 import sys
 
 from .words import CountBudgetError, ParseError, count_square_free, find_square, parse_word
@@ -55,7 +54,7 @@ def _cmd_count(args) -> int:
     if args.n < 0:
         return _fail("n must be >= 0")
     try:
-        total = count_square_free(args.n, node_budget=args.nodes, workers=os.cpu_count() or 1)
+        total = count_square_free(args.n, node_budget=args.nodes)
     except ValueError as exc:
         return _fail(str(exc))
     except CountBudgetError as exc:

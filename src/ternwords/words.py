@@ -32,7 +32,8 @@ subtrees share nothing, so a long count can split the walk: this process
 walks down to a fixed depth and forked workers (the package's one pool, in
 the private ``_pool`` module) walk the subtrees below it, and the counts
 add up.  A node budget counts the prefixes of all those walks together,
-so it means the same on both paths.
+so it means the same on both paths, and the workers share it while they
+walk, so a count that overruns it stops on every CPU soon after.
 
 ``_find_square_scan`` is the plain (start, period) scan, kept only as the
 oracle the tests hold the pattern against.
@@ -52,7 +53,7 @@ such containers serve membership tests and sizes only.
 import functools
 import re
 from contextlib import closing
-from itertools import repeat
+from itertools import chain, repeat
 from operator import length_hint
 from typing import Iterable, Iterator, NamedTuple
 
@@ -284,35 +285,66 @@ def _turns(budget: "int | None"):
 # length _SPLIT_DEPTH (59 prefixes), and the subtree below each of them is
 # one pool task.  _PARALLEL_MIN_N is the shortest length where that beat
 # one process in every round of a timed crossover; it exceeds _SPLIT_DEPTH.
+# A budgeted subtree walks _CHUNK prefixes between looks at the budget that
+# all subtrees share.
 _SPLIT_DEPTH = 10
-_PARALLEL_MIN_N = 37
+_PARALLEL_MIN_N = 38
 _START = b"\x01\x00"  # the word 0, 1 reversed
+_CHUNK = 4096
 
 
-def _count_subtree(task) -> "tuple[int, int | None]":
+def _count_subtree(permits, chunk: int, task) -> "tuple[int, int | None]":
     """Pool task: the words of length n below one reversed prefix, and the
-    prefixes walked (None without a budget)."""
-    n, start, budget = task
-    turns = _turns(budget)
-    words = sum(1 for _ in _walk(n, (start,), turns))
-    return words, None if budget is None else budget - length_hint(turns)
+    prefixes walked (None without a budget, when ``permits`` is None).
+
+    With a budget the walk takes its turns ``chunk`` at a time, and each
+    chunk after its first takes one of the shared ``permits`` (a
+    semaphore) for the chunk just finished.  The caller makes
+    ``left // chunk`` permits, where ``left`` is the budget the subtrees
+    share, so when none is left more than ``left`` prefixes have been
+    walked in all, and the walk stops with a bare CountBudgetError.
+    Permits are taken without waiting and never given back, so a worker
+    stopped at any moment leaves no process blocked.
+    """
+    n, start = task
+    if permits is None:
+        return sum(1 for _ in _walk(n, (start,), repeat(None))), None
+    chunks = []
+
+    def turns():
+        while not chunks or permits.acquire(False):
+            chunks.append(repeat(None, chunk))
+            yield chunks[-1]
+
+    words = sum(1 for _ in _walk(n, (start,), chain.from_iterable(turns())))
+    return words, len(chunks) * chunk - length_hint(chunks[-1])
 
 
-def _count_parallel(n: int, turns, budget: "int | None", workers: int) -> int:
+def _count_parallel(n: int, turns, budget: "int | None") -> int:
     """Words of length n in the 0,1 class, walked as subtrees on a pool.
 
     ``turns`` is the caller's budget iterator; the parent's walk to the
-    split depth takes from it, and each subtree may take what is left.
-    The pool stops at the first subtree that overruns that or puts the
-    total past ``budget``, with a bare CountBudgetError.
+    split depth takes from it, and the subtrees share what is left.  The
+    count raises a bare CountBudgetError when a subtree runs out of shared
+    permits or the prefixes walked in all pass ``budget``, and the pool
+    stops then.
     """
-    from ._pool import pool_imap  # here, so that commands without a pool do not load it
+    from . import _pool
 
     starts = [LETTER_BYTES[a] + rev for rev, a in _walk(_SPLIT_DEPTH, (_START,), turns)]
-    left = None if budget is None else length_hint(turns)
-    tasks = [(n, start, left) for start in starts]
+    tasks = [(n, start) for start in starts]
+    if budget is None:
+        left = None
+        count = functools.partial(_count_subtree, None, None)
+    else:
+        from multiprocessing.synchronize import SEM_VALUE_MAX
+
+        left = length_hint(turns)
+        chunk = max(_CHUNK, left // SEM_VALUE_MAX + 1)  # so the permits fit
+        permits = _pool.context().Semaphore(left // chunk)
+        count = functools.partial(_count_subtree, permits, chunk)
     total = 0
-    with closing(pool_imap(_count_subtree, tasks, workers)) as results:
+    with closing(_pool.pool_imap(count, tasks, len(tasks))) as results:
         for words, walked in results:
             total += words
             if left is not None:
@@ -322,7 +354,7 @@ def _count_parallel(n: int, turns, budget: "int | None", workers: int) -> int:
     return total
 
 
-def count_square_free(n: int, node_budget: "int | None" = None, workers: int = 1) -> int:
+def count_square_free(n: int, node_budget: "int | None" = None) -> int:
     """Number of square-free words of length n (1 for the empty word).
 
     Words are counted in classes under the six permutations of the
@@ -332,19 +364,20 @@ def count_square_free(n: int, node_budget: "int | None" = None, workers: int = 1
     preserve square-freeness.  So only the 0,1 class is walked and the
     count is multiplied by 6.
 
-    With ``workers`` >= 2 and n >= ``_PARALLEL_MIN_N`` the walk is split:
-    this process walks the class down to the words of length
-    ``_SPLIT_DEPTH``, and the subtree below each of them is counted in a
-    forked worker process, at most ``workers`` and at most one per CPU.
-    The subtrees share nothing, so their counts add up.  Otherwise, and
-    always for shorter n, one process walks the whole class.
+    From n = ``_PARALLEL_MIN_N`` on, when this process may use two CPUs
+    or more, the walk is split: this process walks the class down to the
+    words of length ``_SPLIT_DEPTH``, and the subtree below each of them
+    is counted in a forked worker process, one per usable CPU.  The
+    subtrees share nothing, so their counts add up.  Otherwise one process
+    walks the whole class.
 
     ``node_budget`` caps the prefixes visited, with the same meaning on
     both paths: the prefixes of the parent's walk plus those of every
     subtree equal the one-process count, and the count succeeds exactly
     when that total is at most ``node_budget``.  Otherwise
-    CountBudgetError names the budget and n.  A parallel count that
-    overruns may have done more work than the budget before it stops.
+    CountBudgetError names the budget and n.  The workers share the
+    budget while they walk, so a parallel count that overruns stops
+    within a few thousand prefixes per subtree of where one process would.
     """
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
@@ -354,8 +387,11 @@ def count_square_free(n: int, node_budget: "int | None" = None, workers: int = 1
         return (1, 3, 6)[n]
     turns = _turns(node_budget)
     try:
-        if workers >= 2 and n >= _PARALLEL_MIN_N:
-            return 6 * _count_parallel(n, turns, node_budget, workers)
+        if n >= _PARALLEL_MIN_N:
+            from . import _pool  # here, so that commands without a pool do not load it
+
+            if _pool.usable_cpus() >= 2:
+                return 6 * _count_parallel(n, turns, node_budget)
         return 6 * sum(1 for _ in _walk(n, (_START,), turns))
     except CountBudgetError:
         raise CountBudgetError(

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from ternwords import _pool, builtin_pair
@@ -20,3 +22,15 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr(_pool, "_imap", inline_imap)
     return sizes
+
+
+@pytest.fixture()
+def set_cpus(monkeypatch):
+    """Make the package see ``count`` CPUs (``os.cpu_count()``, with no
+    affinity mask); None stands for a platform that cannot tell."""
+
+    def set_count(count):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+    return set_count

@@ -40,18 +40,20 @@ class TestPoolImap:
         assert multiprocessing.active_children() == []
 
 
-def test_workers_are_reaped():
+def test_workers_are_reaped(set_cpus):
+    set_cpus(2)
     find_pairs(SearchConfig(k=18, first_letter=None, parallel_shards=2))
     assert multiprocessing.active_children() == []
     # a result limit stops the pool with shards still queued
     find_pairs(SearchConfig(k=18, first_letter=None, max_results=3, parallel_shards=3))
     assert multiprocessing.active_children() == []
-    n = words._PARALLEL_MIN_N
-    assert count_square_free(n, workers=2) == count_square_free(n)
+    assert count_square_free(words._PARALLEL_MIN_N) == 285750
     assert multiprocessing.active_children() == []
-    with pytest.raises(CountBudgetError):
-        count_square_free(5000, node_budget=1000, workers=2)
-    assert multiprocessing.active_children() == []
+    # a budget that runs out in the parent's walk, and one in the workers'
+    for budget in (58, 10**5):
+        with pytest.raises(CountBudgetError):
+            count_square_free(5000, node_budget=budget)
+        assert multiprocessing.active_children() == []
 
 
 # Eight workers whose tasks all fail with a long error, stopped after the
@@ -61,7 +63,7 @@ def test_workers_are_reaped():
 _STOP_BUSY_WORKERS = """
 import os
 from contextlib import closing
-os.cpu_count = lambda: 8  # more workers than this box may have CPUs
+os.sched_getaffinity = lambda pid: set(range(8))  # more workers than this box may have CPUs
 from ternwords._pool import pool_imap
 
 def fail(x):

@@ -1,7 +1,6 @@
 """Search: configuration, prune soundness, canonical forms, completeness."""
 
 import itertools
-import os
 import random
 from dataclasses import replace
 
@@ -409,13 +408,13 @@ class TestShardPool:
     @pytest.mark.parametrize(
         "shards,cpus,workers", [(50, 3, 3), (50, None, 1), (2, 8, 2)]
     )
-    def test_workers_capped(self, monkeypatch, pool_sizes, shards, cpus, workers):
+    def test_workers_capped(self, set_cpus, pool_sizes, shards, cpus, workers):
         cfg = SearchConfig(k=18, first_letter=None, parallel_shards=shards)
         prefixes, _ = _shard_prefixes(cfg)
         assert len(prefixes) > max(shards, workers)  # only the cap limits the pool
-        monkeypatch.setattr(os, "cpu_count", lambda: 10**6)
+        set_cpus(10**6)
         uncapped = find_pairs(cfg)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        set_cpus(cpus)
         capped = find_pairs(cfg)
         assert pool_sizes == [shards, workers]
         # the cap changes neither the shards nor what they find
@@ -433,7 +432,7 @@ class TestShardPool:
         assert sharded == single
         assert sharded.nodes_expanded <= budget
 
-    def test_scan_stops_when_the_frontier_stops_growing(self, monkeypatch, pool_sizes):
+    def test_scan_stops_when_the_frontier_stops_growing(self, monkeypatch, set_cpus, pool_sizes):
         cfg = SearchConfig(k=18, first_letter=None, parallel_shards=1000)
         scans = []
 
@@ -457,7 +456,7 @@ class TestShardPool:
         assert len(prefixes) < 4 * cfg.parallel_shards
         assert prefixes == frontier(depth)
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        set_cpus(2)
         sharded = find_pairs(cfg)
         assert pool_sizes == [2]
         assert sharded.exhausted

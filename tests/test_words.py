@@ -24,7 +24,7 @@ from ternwords import (
     reverse,
     shift,
 )
-from ternwords import words
+from ternwords import _pool, words
 from ternwords.words import SQUARE, _find_square_scan, square_after
 
 # a(0) .. a(14), cross-checked against the brute-force filter over all 3^n
@@ -322,12 +322,20 @@ class TestCounting:
             count_square_free(20, node_budget=-1)
 
 
+def one_process(n: int) -> int:
+    """a(n), n >= 2, by the whole walk of the 0,1 class in this process."""
+    return 6 * sum(1 for _ in words._walk(n, (words._START,), repeat(None)))
+
+
 class TestParallelCount:
-    """count_square_free(n, workers=w) sums the subtrees below the split
-    depth on a pool, with the one-process count and budget outcome."""
+    """From _PARALLEL_MIN_N on, with two usable CPUs or more,
+    count_square_free sums the subtrees below the split depth on a pool,
+    with the one-process count and budget outcome."""
 
     @pytest.fixture()
-    def low_threshold(self, monkeypatch):
+    def parallel(self, monkeypatch, set_cpus):
+        """Two CPUs, and the parallel path from just past the split depth."""
+        set_cpus(2)
         monkeypatch.setattr(words, "_PARALLEL_MIN_N", words._SPLIT_DEPTH + 1)
 
     def test_split(self):
@@ -336,52 +344,121 @@ class TestParallelCount:
         assert len(starts) == 24
         assert 1000 - length_hint(turns) == 59  # prefixes the parent walks
 
-    def test_equals_one_process(self, low_threshold):
-        for n in range(words._SPLIT_DEPTH + 1, 37):
-            assert count_square_free(n, workers=2) == count_square_free(n), n
+    def test_equals_one_process(self, parallel):
+        for n in range(words._SPLIT_DEPTH + 1, words._PARALLEL_MIN_N + 1):
+            assert count_square_free(n) == one_process(n), n
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_budget_is_exact_at_42(self, workers):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_budget_is_exact_at_42(self, set_cpus, cpus):
         # the one-process walk for a(42) visits 452767 prefixes
-        assert count_square_free(42, node_budget=452767, workers=workers) == 821154
+        set_cpus(cpus)
+        assert count_square_free(42, node_budget=452767) == 821154
         with pytest.raises(
             CountBudgetError,
             match=r"^node budget of 452766 prefixes exhausted before a\(42\) was counted$",
         ):
-            count_square_free(42, node_budget=452766, workers=workers)
+            count_square_free(42, node_budget=452766)
 
-    def test_budget_is_exact_at_20(self, low_threshold):
-        assert count_square_free(20, node_budget=1241, workers=2) == 2388
+    def test_budget_is_exact_at_20(self, parallel):
+        assert count_square_free(20, node_budget=1241) == 2388
         with pytest.raises(
             CountBudgetError,
             match=r"^node budget of 1240 prefixes exhausted before a\(20\) was counted$",
         ):
-            count_square_free(20, node_budget=1240, workers=2)
+            count_square_free(20, node_budget=1240)
 
-    @pytest.mark.parametrize("budget", [0, 58, 59, 100])
-    def test_budget_error_names_the_callers_budget(self, budget):
+    @pytest.mark.parametrize("budget", [0, 58, 59, 100, 10**5])
+    def test_budget_error_names_the_callers_budget(self, set_cpus, budget):
         # the parent walks 59 prefixes to the split depth; from 59 on, the
-        # budget runs out in the first subtree, inside a worker
+        # budget runs out in a subtree, inside a worker
+        set_cpus(2)
         with pytest.raises(
             CountBudgetError,
             match=rf"^node budget of {budget} prefixes exhausted before a\(42\) was counted$",
         ):
-            count_square_free(42, node_budget=budget, workers=2)
+            count_square_free(42, node_budget=budget)
 
-    @pytest.mark.parametrize(
-        "workers,cpus,size", [(2, 8, 2), (50, 3, 3), (50, None, 1), (10**6, 10**6, 24)]
-    )
-    def test_workers_capped(self, monkeypatch, pool_sizes, workers, cpus, size):
+    @pytest.mark.parametrize("cpus,sizes", [(2, [2]), (3, [3]), (10**6, [24]), (1, []), (None, [])])
+    def test_pool_size(self, set_cpus, pool_sizes, cpus, sizes):
         n = words._PARALLEL_MIN_N
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert count_square_free(n, workers=workers) == count_square_free(n)
-        assert pool_sizes == [size]  # workers, CPUs and the 24 subtrees cap it
+        set_cpus(cpus)
+        assert count_square_free(n) == one_process(n)
+        assert pool_sizes == sizes  # one worker per CPU, at most one per subtree
 
-    def test_one_process_below_the_threshold(self, pool_sizes):
-        n = words._PARALLEL_MIN_N
-        count_square_free(n - 1, workers=8)
-        count_square_free(n, workers=1)
+    def test_affinity_mask_caps_the_pool(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        count_square_free(words._PARALLEL_MIN_N)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+        count_square_free(words._PARALLEL_MIN_N)
+        assert pool_sizes == [3]
+
+    def test_one_process_below_the_threshold(self, set_cpus, pool_sizes):
+        set_cpus(8)
+        count_square_free(words._PARALLEL_MIN_N - 1)
         assert pool_sizes == []
+
+
+class TestSharedBudget:
+    """A budgeted subtree takes a shared permit for every whole chunk it
+    walks after its first, and stops when none is left, so the workers of
+    a count that overruns stop near the budget."""
+
+    def _walked(self, monkeypatch):
+        """Count the turns every later walk takes, in this process."""
+        taken = []
+        walk = words._walk
+
+        def counting_walk(n, starts, turns):
+            def counted():
+                for turn in turns:
+                    taken.append(turn)
+                    yield turn
+
+            return walk(n, starts, counted())
+
+        monkeypatch.setattr(words, "_walk", counting_walk)
+        return taken
+
+    @pytest.mark.parametrize("permits", [0, 1, 3])
+    def test_a_subtree_stops_after_its_permits(self, monkeypatch, permits):
+        sem = _pool.context().Semaphore(permits)
+        taken = self._walked(monkeypatch)
+        with pytest.raises(CountBudgetError):
+            words._count_subtree(sem, 100, (500, words._START))
+        # one free chunk, one per permit, and no turn of the next chunk
+        assert len(taken) == 100 * (permits + 1)
+        assert sem.acquire(False) is False
+
+    def test_a_subtree_that_fits_reports_its_prefixes(self):
+        # the walk for a(20) visits 1241 prefixes, in 13 chunks of 100
+        sem = _pool.context().Semaphore(100)
+        assert words._count_subtree(sem, 100, (20, words._START)) == (2388 // 6, 1241)
+        for _ in range(100 - 12):
+            assert sem.acquire(False)
+        assert sem.acquire(False) is False  # only whole chunks took permits
+        assert words._count_subtree(None, None, (20, words._START)) == (2388 // 6, None)
+
+    def test_many_workers_share_the_budget(self, monkeypatch, set_cpus):
+        # more workers than CPUs, each taking a permit every 64 prefixes; a
+        # permit lost between them would stop a count that fits its budget
+        set_cpus(8)
+        monkeypatch.setattr(words, "_CHUNK", 64)
+        for _ in range(3):
+            assert count_square_free(42, node_budget=452767) == 821154
+            with pytest.raises(CountBudgetError):
+                count_square_free(42, node_budget=452766)
+
+    def test_an_overrun_stops_near_the_budget(self, monkeypatch, set_cpus, pool_sizes):
+        # in one process the subtrees run one after another: the first
+        # overruns the shared budget and stops within a chunk of it
+        set_cpus(2)
+        taken = self._walked(monkeypatch)
+        budget = 10 * words._CHUNK
+        with pytest.raises(CountBudgetError, match="node budget of 40960 "):
+            count_square_free(500, node_budget=budget)
+        assert budget < len(taken) <= budget + words._CHUNK
+        assert pool_sizes == [2]
 
 
 class TestEnumeration:
