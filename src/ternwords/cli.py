@@ -160,6 +160,9 @@ def _cmd_expand_verify(args) -> int:
         f"squarefree={_bool_text(report.all_square_free)} "
         f"distinct={_bool_text(report.all_distinct)}"
     )
+    if report.first_square is not None:
+        word, choices, sq = report.first_square
+        print(f"first_square word={word} choices={choices} start={sq.start} period={sq.period}")
     return EXIT_OK if report.all_square_free and report.all_distinct else EXIT_FAIL
 
 

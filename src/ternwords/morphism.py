@@ -2,13 +2,15 @@
 
 ``substitute`` replaces each letter x of a word by the block U_x or V_x of
 a triple-pair, with a choice string over 'U'/'V' selecting the block per
-position.  For a pair whose certificate passes, every image of a square-free
-word is square-free and distinct inputs give distinct images, so the 2^n
-images of the a(n) square-free words of length n witness
-a(n*k) >= 2^n * a(n), and with it mu >= 2^(1/(k-1)) for the growth rate
-mu = lim a(n)^(1/n).  ``verify_expansion`` checks the square-free and
-distinctness claims exhaustively at small n; ``lower_bound`` computes the
-exponent and the numeric bound.
+position.  When the 2^n images of each of the a(n) square-free words of
+length n are square-free and distinct, they witness a(n*k) >= 2^n * a(n),
+and when that holds for every n, mu >= 2^(1/(k-1)) for the growth rate
+mu = lim a(n)^(1/n).  A passing certificate is necessary for this, but not
+sufficient: the k=23 pair in tests/data/unsound_k23_pair.txt passes
+``verify``, and its image of 010 with choices UUU has a square at n=3.
+``verify_expansion`` checks the square-free and distinctness claims
+exhaustively at small n; ``lower_bound`` computes the exponent and the
+numeric bound.
 
 ``verify_expansion`` visits the images in "snake" order: the words in
 enumeration order, the choice strings in product order for even-indexed
@@ -77,8 +79,9 @@ def parse_choices(text: str) -> str:
 def substitute(tp: TriplePair, x: Word, choices: str) -> Word:
     """Concatenate, for each position t, U_{x[t]} when choices[t] is 'U', else V_{x[t]}.
 
-    Total for any input word; square-freeness of the result is only
-    guaranteed for verified pairs and square-free inputs.
+    Total for any input word; a square-free input and a passing
+    certificate do not guarantee a square-free result (see the module
+    docstring), ``verify_expansion`` checks it.
     """
     ch = parse_choices(choices)
     if len(ch) != len(x):

@@ -17,9 +17,9 @@ completion can satisfy the definition):
   U0 . shift(V0-prefix, d), or the completed U0 fails its own
   concatenation and head/tail conditions.
 
-Each complete assignment gets one full certificate check, a ``verify``
-call of the triplepair module on words read off the reversed buffers;
-most fail, and verify's shared check objects keep that cheap.  Only pairs
+Each complete assignment gets one certificate check, a ``verify`` call of
+the triplepair module on words read off the reversed buffers; most fail,
+and verify's stop at the first failing check keeps that cheap.  Only pairs
 whose certificate passes are emitted.  Each cut exists once, in the
 searcher that applies it: ``prune_check`` runs that searcher on a fixed
 prefix, so tests can hold the cuts against verify.

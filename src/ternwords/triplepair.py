@@ -8,32 +8,38 @@ arranged as [[U0, V0], [U1, V1], [U2, V2]], such that
 * for every r with ceil(k/2) <= r <= k-1, the 12 prefixes and suffixes of
   length r of the six words are pairwise distinct.
 
-Substituting U_x or V_x for each letter x of a square-free word then always
-yields a square-free word, which is what makes these pairs useful for
-counting bounds (see the morphism module).
+Substituting U_x or V_x for each letter x of a square-free word makes the
+images the morphism module counts.  The two conditions are necessary for
+every image to be square-free, but not sufficient: they see squares inside
+two adjacent blocks only.  Pair 2 of the k=23 search with first letter 2
+passes both, yet the image of 010 with choices UUU has a square of period
+18 across three blocks (tests/data/unsound_k23_pair.txt).
 
-``verify`` evaluates both conditions exhaustively and returns a
-Certificate that records every individual check.  ``certificate_text``
+``verify`` works out the verdict first, with the head/tail check for each
+r and then the 24 concatenations, and stops at the first check that fails.
+The Certificate it returns builds its tuples of every individual check,
+from the same check code, when they are first read.  ``certificate_text``
 renders it in a fixed line-oriented format suitable for golden-file
 comparison.
 
-Both checks read the six words once as byte strings, and build each word's
-shifts by 1 and 2 once.  Checks are frozen, so equal ones are one shared
-object: a concatenation's 24 checks, one per emission slot, come from a
-bounded cache keyed by the concatenation relabelled by the cyclic letter
-shift that makes its first letter 0, and are the shared passing checks or
-failing ones shared per witness.  A letter bijection maps every factor xx
-to a factor of the same start and period and back, so a word and its
-shifts have the same witness (smallest start, then smallest period), and
-one cache entry serves all three.  The pair search verifies many leaves
-that share U0 and all of whose other words are shifts of U0 and V0, so
-most lookups hit.  The head/tail check tests each length r with one set of
-the 12 factors, looks for the first colliding pair only when two coincide,
-and shares its checks per (r, collision).
+The checks read the six words once as byte strings, and the concatenation
+check builds each word's shifts by 1 and 2 once.  Checks are frozen, so
+equal ones are one shared object: a concatenation's 24 checks, one per
+emission slot, come from a bounded cache keyed by the concatenation
+relabelled by the cyclic letter shift that makes its first letter 0, and
+are the shared passing checks or failing ones shared per witness.  A
+letter bijection maps every factor xx to a factor of the same start and
+period and back, so a word and its shifts have the same witness (smallest
+start, then smallest period), and one cache entry serves all three.  The
+pair search verifies many leaves that share U0 and all of whose other
+words are shifts of U0 and V0, so most lookups hit.  The head/tail check
+tests each length r with one set of the 12 factors, looks for the first
+colliding pair only when two coincide, and shares its checks per
+(r, collision).
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -181,22 +187,18 @@ def _concat_witness_checks(letters: bytes) -> tuple:
     return _PASSING_CONCATS if witness is None else _failing_concats(witness)
 
 
-def _shifts(ws: tuple) -> list:
-    """Each word's letters shifted by 0, 1 and 2."""
-    return [(w, w.translate(SHIFT_TABLES[1]), w.translate(SHIFT_TABLES[2])) for w in ws]
-
-
-def _concat_checks(shifted: list) -> list:
-    cs = [-s[0][0] % 3 for s in shifted]  # the shift that makes each word start with 0
+def _concat_checks(ws: tuple):
+    """Yield the 24 concatenation checks of the six words, in emission order."""
+    shifted = [(w, w.translate(SHIFT_TABLES[1]), w.translate(SHIFT_TABLES[2])) for w in ws]
+    cs = [-w[0] % 3 for w in ws]  # the shift that makes each word start with 0
     checks = _concat_witness_checks
-    return [
-        checks(shifted[a][cs[a]] + shifted[b][cs[a]])[i] for i, (a, b) in enumerate(_CONCAT_PLAN)
-    ]
+    for i, (a, b) in enumerate(_CONCAT_PLAN):
+        yield checks(shifted[a][cs[a]] + shifted[b][cs[a]])[i]
 
 
 def check_concatenations(tp: TriplePair) -> list:
     """The square witness of each of the 24 concatenations, in emission order."""
-    return _concat_checks(_shifts(_letter_bytes(tp)))
+    return list(_concat_checks(_letter_bytes(tp)))
 
 
 def head_tail_range(k: int) -> range:
@@ -219,9 +221,9 @@ def _headtail_check(r: int, a=None, b=None) -> HeadTailCheck:
     return HeadTailCheck(r, None if a is None else (HEADTAIL_LABELS[a], HEADTAIL_LABELS[b]))
 
 
-def _headtail_checks(ws: tuple, k: int) -> list:
+def _headtail_checks(ws: tuple, k: int):
+    """Yield the head/tail check of each r in range, in increasing r."""
     u0, v0, u1, v1, u2, v2 = ws
-    out = []
     for r in head_tail_range(k):
         t = k - r
         items = (
@@ -231,51 +233,60 @@ def _headtail_checks(ws: tuple, k: int) -> list:
         if len(set(items)) < 12:
             # the smallest a with a later equal item, then the smallest such b
             a = next(a for a in range(11) if items[a] in items[a + 1 :])
-            out.append(_headtail_check(r, a, items.index(items[a], a + 1)))
+            yield _headtail_check(r, a, items.index(items[a], a + 1))
         else:
-            out.append(_headtail_check(r))
-    return out
+            yield _headtail_check(r)
 
 
 def check_head_tail_condition(tp: TriplePair) -> list:
     """Pairwise distinctness of the 12 heads and tails, for every r in range."""
-    return _headtail_checks(_letter_bytes(tp), tp.k)
+    return list(_headtail_checks(_letter_bytes(tp), tp.k))
 
 
 @dataclass(frozen=True)
 class Certificate:
     """Full record of a verification run.
 
-    The verdict is the conjunction of every individual check; the
-    shift_symmetric and palindromic_base flags are informational only.
+    The verdict is the conjunction of every individual check; ``verify``
+    works it out first and stops at the first failing check.  The check
+    tuples ``concat_results`` and ``headtail_results`` are built by the same
+    check code, run again in full, the first time each is read; so are the
+    shift_symmetric and palindromic_base flags, which are informational.
     """
 
     k: int
-    concat_results: tuple
-    headtail_results: tuple
-    shift_symmetric: bool
-    palindromic_base: bool
+    verdict: bool
+    _words: tuple = field(repr=False)  # the six words' letters, in file order
 
-    @property
-    def verdict(self) -> bool:
-        return all(c.ok for c in self.concat_results) and all(
-            h.ok for h in self.headtail_results
-        )
+    @functools.cached_property
+    def concat_results(self) -> tuple:
+        return tuple(_concat_checks(self._words))
+
+    @functools.cached_property
+    def headtail_results(self) -> tuple:
+        return tuple(_headtail_checks(self._words, self.k))
+
+    @functools.cached_property
+    def shift_symmetric(self) -> bool:
+        """Whether U1, V1, U2, V2 are U0 and V0 shifted letterwise by 1 and 2."""
+        u0, v0 = self._words[:2]
+        shifts = tuple(w.translate(SHIFT_TABLES[d]) for d in (1, 2) for w in (u0, v0))
+        return self._words[2:] == shifts
+
+    @functools.cached_property
+    def palindromic_base(self) -> bool:
+        """Whether U0 and V0 are palindromes."""
+        u0, v0 = self._words[:2]
+        return u0 == u0[::-1] and v0 == v0[::-1]
 
 
 def verify(tp: TriplePair) -> Certificate:
-    """Evaluate both defining conditions exhaustively."""
+    """Evaluate both defining conditions: the head/tail check per r, then
+    the 24 concatenations, up to the first that fails."""
     ws = _letter_bytes(tp)
-    shifted = _shifts(ws)
-    (u0, u1, u2), (v0, v1, v2) = shifted[0], shifted[1]
-    k = len(u0)
-    return Certificate(
-        k=k,
-        concat_results=tuple(_concat_checks(shifted)),
-        headtail_results=tuple(_headtail_checks(ws, k)),
-        shift_symmetric=ws[2:] == (u1, v1, u2, v2),
-        palindromic_base=u0 == u0[::-1] and v0 == v0[::-1],
-    )
+    k = len(ws[0])
+    ok = all(h.ok for h in _headtail_checks(ws, k)) and all(c.ok for c in _concat_checks(ws))
+    return Certificate(k, ok, ws)
 
 
 def _bool_text(flag: bool) -> str:

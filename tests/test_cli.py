@@ -283,6 +283,16 @@ class TestExpandVerify:
         assert err == ""
         assert out == "total=24 squarefree=true distinct=true\n"
 
+    def test_unsound_pair_names_its_first_square(self, capsys):
+        # the pair's certificate passes, but an image at n=3 has a square
+        pair = str(DATA / "unsound_k23_pair.txt")
+        code, out, err = run(["expand-verify", pair, "--n", "3"], capsys)
+        assert (code, err) == (1, "")
+        assert out == (
+            "total=96 squarefree=false distinct=true\n"
+            "first_square word=010 choices=UUU start=14 period=18\n"
+        )
+
     def test_failing_pair_exits_one(self, capsys, failing_pair_file):
         code, _, err = run(["expand-verify", failing_pair_file, "--n", "1"], capsys)
         assert code == 1

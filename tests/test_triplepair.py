@@ -412,6 +412,28 @@ def search_leaves(monkeypatch, config: SearchConfig) -> list:
     return leaves
 
 
+# The search configurations test_search_leaves runs.
+LEAF_CONFIGS = (
+    *(SearchConfig(k=k, first_letter=None) for k in range(2, 19)),
+    SearchConfig(k=2, shift_symmetry=False, first_letter=None),
+    SearchConfig(k=3, shift_symmetry=False),
+)
+LAZY_CHECKS = ("concat_results", "headtail_results")
+
+
+def assert_lazy_certificate(tp: TriplePair, first: str):
+    """verify stops at the first failing check and builds the check tuples
+    only when read; neither may show.  Starting from a cold witness cache,
+    the verdict must be the oracle's, and the certificate text, read after
+    ``first``, must be the oracle's text."""
+    expected = reference_certificate(tp)
+    _concat_witness_checks.cache_clear()
+    cert = verify(tp)
+    assert f"VERDICT {'PASS' if cert.verdict else 'FAIL'}\n" == expected.splitlines(True)[-1], tp
+    getattr(cert, first)
+    assert certificate_text(cert) == expected, tp
+
+
 class TestVerifyAgainstOracle:
     """verify's byte-level checks and check cache give the oracle's certificate."""
 
@@ -448,7 +470,7 @@ class TestVerifyAgainstOracle:
         for tp in leaves[:: 1 if config.shift_symmetry else 16]:
             assert certificate_text(verify(tp)) == reference_certificate(tp), tp
 
-    @pytest.mark.parametrize("k, first, calls", [(23, 0, 3796), (25, 2, 10020)])
+    @pytest.mark.parametrize("k, first, calls", [(23, 0, 1566), (25, 2, 4710)])
     def test_cold_search_square_calls(self, monkeypatch, k, first, calls):
         # the cache's key and bound decide how often a search runs find_square
         counted = []
@@ -457,6 +479,16 @@ class TestVerifyAgainstOracle:
         _concat_witness_checks.cache_clear()
         find_pairs(SearchConfig(k=k, first_letter=first))
         assert len(counted) == calls
+
+    @settings(max_examples=200, deadline=None)
+    @given(six_words(), st.sampled_from(LAZY_CHECKS))
+    def test_lazy_checks_cannot_be_seen(self, tp, first):
+        assert_lazy_certificate(tp, first)
+
+    def test_lazy_checks_cannot_be_seen_on_search_leaves(self, monkeypatch):
+        for config in LEAF_CONFIGS:
+            for i, tp in enumerate(search_leaves(monkeypatch, config)):
+                assert_lazy_certificate(tp, LAZY_CHECKS[i % 2])
 
     def test_checks_are_frozen_and_shared(self, builtin):
         cert = verify(tiny_pair())
