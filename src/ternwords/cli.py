@@ -147,11 +147,11 @@ def _cmd_expand_verify(args) -> int:
         return _fail(str(exc))
     if args.n < 0:
         return _fail("n must be >= 0")
-    if not verify(tp).verdict:
-        print("error: pair fails verification", file=sys.stderr)
-        return EXIT_FAIL
     try:
         report = verify_expansion(tp, args.n, budget=args.budget)
+    except ValueError:
+        print("error: pair fails verification", file=sys.stderr)
+        return EXIT_FAIL
     except ExpansionBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -12,26 +12,30 @@ sufficient: the k=23 pair in tests/data/unsound_k23_pair.txt passes
 exhaustively at small n; ``lower_bound`` computes the exponent and the
 numeric bound.
 
+Distinctness needs no set of images.  Every block is k letters long, so an
+image splits into its n blocks, and when the six words are pairwise
+distinct each block names its (letter, choice): the image determines the
+word and the choice string.  A pair that passes ``verify`` has six distinct
+words, because their heads are distinct.  With two equal words, two images
+coincide once two square-free words of length n differ in one letter only,
+which holds whenever a(n) > a(n-1), as it does for every n <= 35.
+
 ``verify_expansion`` visits the images in "snake" order: the words in
 enumeration order, the choice strings in product order for even-indexed
 words and in reverse for odd-indexed ones.  Consecutive images then share
-their leading blocks.  Every block is k letters long, so an image shares
-with the one before it k letters per leading position whose letter and
-choice both agree, plus the common prefix of the two blocks at the first
-position that differs.  That prefix is part of a word already found
-square-free, so only squares that end after it can be new; they are the
+their leading blocks, and the check stops at the first image with a
+square, so the image before the current one is square-free.  Only squares
+that end after the prefix the two images share can be new; they are the
 square prefixes of the reversed image at the start positions before the
-shared part, one ``SQUARE.match`` each.  An image that shares nothing gets
-the whole-word search, ``is_square_free``.  Product order changes the last
-choice most often, so about two blocks of an image are new on average.  At
-n=6 the built-in pair's 2688 images of length 108 take 3 whole-word
-searches, and the other 2685 take 28.5 matches each on average.
+shared part, one ``SQUARE.match`` each.  The first image shares nothing
+and is tested whole.  Product order changes the last choice most often, so
+about two blocks of an image are new on average.
 """
 
 import itertools
 from dataclasses import dataclass
 
-from .words import SQUARE, Word, enumerate_square_free, find_square, is_square_free
+from .words import SQUARE, Word, enumerate_square_free, find_square
 from .triplepair import TriplePair, verify
 
 __all__ = [
@@ -122,14 +126,9 @@ def _square_free_words(n: int, budget: int) -> list:
     return words
 
 
-def _common_prefix(a, b) -> int:
-    """Length of the longest common prefix of two sequences."""
-    t = 0
-    for p, q in zip(a, b):
-        if p != q:
-            break
-        t += 1
-    return t
+def _shared_prefix(a: bytes, b: bytes) -> int:
+    """Length of the longest common prefix of two byte strings of one length."""
+    return len(a) - ((int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).bit_length() + 7) // 8
 
 
 def _has_square_ending_from(image: bytes, shared: int) -> bool:
@@ -153,16 +152,12 @@ def verify_expansion(tp: TriplePair, n: int, budget: int = DEFAULT_EXPANSION_BUD
     counting step a(n*k) >= 2^n * a(n) at this n: the images are then
     2^n * a(n) distinct square-free words of length n*k.
 
-    Each image is built once by ``substitute`` and kept in a set for the
-    distinctness test.  Images are visited in the snake order the module
-    docstring describes, and the prefix an image shares with the previous
-    one is worked out from the (letter, choice) steps and the common
-    prefixes of the six blocks, then confirmed by one bytes comparison.
-    While every image so far is square-free, the previous image is, so a
-    square can only end after the shared prefix: an image costs one
-    ``SQUARE.match`` per letter after it, or one whole-word search when it
-    shares nothing.  After the first image with a square, which the report
-    names in ``first_square``, images are only collected.
+    No image is kept.  The images are distinct exactly when n == 0 or the
+    six words are pairwise distinct (see the module docstring).  Each image
+    is built by ``substitute`` and visited in snake order; only squares
+    ending after the prefix it shares with the previous image are tested,
+    all of it for the first image.  The check stops at the first image with
+    a square, which the report names in ``first_square``.
     """
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
@@ -170,38 +165,18 @@ def verify_expansion(tp: TriplePair, n: int, budget: int = DEFAULT_EXPANSION_BUD
     words = _square_free_words(n, budget)
     forward = ["".join(t) for t in itertools.product("UV", repeat=n)]
     backward = forward[::-1]
-    k = tp.k
-    blocks = {(a, c): bytes(w) for c, ws in (("U", tp.u), ("V", tp.v)) for a, w in enumerate(ws)}
-    block_lcp = {(p, q): _common_prefix(blocks[p], blocks[q]) for p in blocks for q in blocks}
-    first_square = None
-    seen = set()
-    prev_steps = prev = None
-    for i, x in enumerate(words):
-        for ch in backward if i % 2 else forward:
-            img = substitute(tp, x, ch)
-            seen.add(img)
-            if first_square is not None:
-                continue
-            b = bytes(img)
-            steps = list(zip(bytes(x), ch))
-            shared = 0
-            if prev_steps is not None:
-                # no (word, choices) repeats, so t < n
-                t = _common_prefix(steps, prev_steps)
-                shared = k * t + block_lcp[steps[t], prev_steps[t]]
-                if b[:shared] != prev[:shared]:
-                    shared = 0
-            if shared == 0:
-                has_square = not is_square_free(img)
-            else:
-                has_square = _has_square_ending_from(b, shared)
-            if has_square:
-                first_square = (x, ch, find_square(img))
-            prev_steps, prev = steps, b
-    total = len(words) * len(forward)
+    order = ((x, ch) for i, x in enumerate(words) for ch in (backward if i % 2 else forward))
+    first_square = prev = None
+    for x, ch in order:
+        img = substitute(tp, x, ch)
+        b = bytes(img)
+        if _has_square_ending_from(b, 0 if prev is None else _shared_prefix(b, prev)):
+            first_square = (x, ch, find_square(img))
+            break
+        prev = b
     return ExpansionReport(
-        total=total,
+        total=len(words) * len(forward),
         all_square_free=first_square is None,
-        all_distinct=len(seen) == total,
+        all_distinct=n == 0 or len({*tp.u, *tp.v}) == 6,
         first_square=first_square,
     )

@@ -52,10 +52,8 @@ __all__ = [
     "Certificate",
     "make_triple_pair",
     "concatenation_words",
-    "check_concatenations",
     "head_tail_range",
     "heads_and_tails",
-    "check_head_tail_condition",
     "verify",
     "certificate_text",
     "builtin_pair",
@@ -196,11 +194,6 @@ def _concat_checks(ws: tuple):
         yield checks(shifted[a][cs[a]] + shifted[b][cs[a]])[i]
 
 
-def check_concatenations(tp: TriplePair) -> list:
-    """The square witness of each of the 24 concatenations, in emission order."""
-    return list(_concat_checks(_letter_bytes(tp)))
-
-
 def head_tail_range(k: int) -> range:
     """The lengths r the distinctness condition quantifies over: ceil(k/2) .. k-1."""
     return range((k + 1) // 2, k)
@@ -236,11 +229,6 @@ def _headtail_checks(ws: tuple, k: int):
             yield _headtail_check(r, a, items.index(items[a], a + 1))
         else:
             yield _headtail_check(r)
-
-
-def check_head_tail_condition(tp: TriplePair) -> list:
-    """Pairwise distinctness of the 12 heads and tails, for every r in range."""
-    return list(_headtail_checks(_letter_bytes(tp), tp.k))
 
 
 @dataclass(frozen=True)

@@ -293,6 +293,19 @@ class TestExpandVerify:
             "first_square word=010 choices=UUU start=14 period=18\n"
         )
 
+    def test_pair_is_verified_once(self, capsys, monkeypatch, pair_file):
+        calls = []
+
+        def counted(tp):
+            calls.append(tp)
+            return verify(tp)
+
+        monkeypatch.setattr(cli, "verify", counted)
+        monkeypatch.setattr(ternwords.morphism, "verify", counted)
+        code, out, _ = run(["expand-verify", pair_file, "--n", "2"], capsys)
+        assert (code, out) == (0, "total=24 squarefree=true distinct=true\n")
+        assert len(calls) == 1
+
     def test_failing_pair_exits_one(self, capsys, failing_pair_file):
         code, _, err = run(["expand-verify", failing_pair_file, "--n", "1"], capsys)
         assert code == 1

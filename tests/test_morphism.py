@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -263,20 +264,43 @@ class TestExpansionAgainstOracle:
         # the first image and at the two changes of first letter between
         # words; where the first choice flips inside a word, U_a and V_a
         # still share their first six letters
-        calls = {"substitute": 0, "is_square_free": 0}
+        calls = {"substitute": 0, "whole": 0}
+        substitute_, ending_from = morphism.substitute, morphism._has_square_ending_from
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
+        def counted_substitute(*args):
+            calls["substitute"] += 1
+            return substitute_(*args)
 
-            return wrapper
+        def counted_ending_from(image, shared):
+            calls["whole"] += shared == 0
+            return ending_from(image, shared)
 
-        for name in calls:
-            monkeypatch.setattr(morphism, name, counted(name, getattr(morphism, name)))
+        monkeypatch.setattr(morphism, "substitute", counted_substitute)
+        monkeypatch.setattr(morphism, "_has_square_ending_from", counted_ending_from)
         report = verify_expansion(builtin, 6)
         assert report_tuple(report) == (2688, True, True)
-        assert calls == {"substitute": 2688, "is_square_free": 3}
+        assert calls == {"substitute": 2688, "whole": 3}
+
+    def test_shared_prefix_matches_a_loop(self):
+        # equal-length strings over {0, 1, 2}, leading zero bytes included
+        for n in range(7):
+            strings = [bytes(t) for t in itertools.product(b"\0\1\2", repeat=n)]
+            for a in strings:
+                for b in strings:
+                    expected = next((t for t in range(n) if a[t] != b[t]), n)
+                    assert morphism._shared_prefix(a, b) == expected, (a, b)
+
+    def test_no_memory_per_image(self, builtin):
+        # 2^7 * a(7) = 7680 images of length 126; a set of them took 2 MB
+        verify_expansion(builtin, 3)  # warm the verify and regex caches
+        tracemalloc.start()
+        try:
+            report = verify_expansion(builtin, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report_tuple(report) == (7680, True, True)
+        assert peak < 500_000
 
 
 class TestFirstSquare:
@@ -297,6 +321,17 @@ class TestFirstSquare:
         assert (word, choices) == first_square_oracle(tp, 3)
         assert witness is not None
         assert witness == find_square(substitute(tp, word, choices))
+
+    def test_stops_at_the_first_square(self, monkeypatch, builtin):
+        # the square is in the 19th image of 96; none after it is built
+        monkeypatch.setattr(morphism, "_require_verified", lambda tp: None)
+        calls = []
+        substitute_ = morphism.substitute
+        monkeypatch.setattr(morphism, "substitute", lambda *args: calls.append(args) or substitute_(*args))
+        report = verify_expansion(v2_with_letter_raised(builtin, 17), 3)
+        word, choices, _ = report.first_square
+        assert (str(word), choices) == ("020", "UVU")
+        assert len(calls) == 19
 
 
 class TestCountingInequality:

@@ -15,8 +15,6 @@ from ternwords import (
     Word,
     builtin_pair,
     certificate_text,
-    check_concatenations,
-    check_head_tail_condition,
     concatenation_words,
     find_pairs,
     head_tail_range,
@@ -133,19 +131,19 @@ class TestConcatenations:
         assert len({w for _, w in entries}) == 6
 
     def test_builtin_all_pass(self, builtin):
-        checks = check_concatenations(builtin)
+        checks = verify(builtin).concat_results
         assert len(checks) == 24
         assert all(c.ok for c in checks)
 
     def test_repeated_word_pair_fails_immediately(self):
         w = Word([0, 1])
         degenerate = TriplePair(u=(w, w, w), v=(w, w, w))
-        first = check_concatenations(degenerate)[0]
+        first = verify(degenerate).concat_results[0]
         assert first.label == "0U1U"
         assert first.witness == SquareWitness(start=0, period=2)
 
     def test_tiny_pair_first_failure(self):
-        first = check_concatenations(tiny_pair())[0]
+        first = verify(tiny_pair()).concat_results[0]
         # U0 U1 = 0110 stutters in the middle
         assert first.witness == SquareWitness(start=1, period=1)
 
@@ -177,18 +175,18 @@ class TestHeadsAndTails:
             heads_and_tails(builtin, r)
 
     def test_builtin_passes_every_level(self, builtin):
-        checks = check_head_tail_condition(builtin)
+        checks = verify(builtin).headtail_results
         assert [c.r for c in checks] == list(range(9, 18))
         assert all(c.ok for c in checks)
 
     def test_duplicate_base_word_collides(self, builtin):
         dup = TriplePair(u=builtin.u, v=(builtin.u[0], builtin.v[1], builtin.v[2]))
-        checks = check_head_tail_condition(dup)
+        checks = verify(dup).headtail_results
         assert all(not c.ok for c in checks)
         assert checks[0].collision == ("headU0", "headV0")
 
     def test_tiny_pair_fails_by_pigeonhole(self):
-        checks = check_head_tail_condition(tiny_pair())
+        checks = verify(tiny_pair()).headtail_results
         assert len(checks) == 1
         assert not checks[0].ok
 
