@@ -23,17 +23,21 @@ form ``square_after``:
   capped at half the buffer's length, so a buffer that passes is scanned
   half way, not to its end; hence one pattern per length.
 
-Counting and enumeration share one private walker, ``_walk``, with an
-explicit stack in place of recursion, so any length is reachable.  It
-proposes only the two letters that differ from the one just placed (a
-repeated letter is a square) and hands back each word as its reversed
-prefix and last letter, so ``count_square_free`` builds no word.  Its
-subtrees share nothing, so a long count can split the walk: this process
-walks down to a fixed depth and forked workers (the package's one pool, in
-the private ``_pool`` module) walk the subtrees below it, and the counts
-add up.  A node budget counts the prefixes of all those walks together,
-so it means the same on both paths, and the workers share it while they
-walk, so a count that overruns it stops on every CPU soon after.
+Enumeration runs the private walker ``_walk``, with an explicit stack, so
+any length is reachable; it proposes only the two letters that differ from
+the one just placed (a repeated letter is a square).
+
+``count_square_free`` needs no order, so it filters a whole batch of
+prefixes at once: reversed prefixes of one length, each led by a newline
+and sorted by first letter.  ``_strikes(length)[a]`` is the prepend test
+in batch form, a newline, y a y and the rest of the line.  One ``re.sub``
+deletes every line that a cannot extend, and one ``replace`` puts a in
+front of the rest.  No match crosses a line end: y holds at most half a
+line's letters, so neither y nor the back-reference that repeats it holds
+a newline.  Batches past ``_CAP`` lines are cut and walked depth first.
+Subtrees share nothing, so forked workers (the package's one pool, in
+``_pool``) can count the subtrees below a fixed length, and one node
+budget, shared while they walk, counts the prefixes of all those batches.
 
 ``_find_square_scan`` is the plain (start, period) scan, kept only as the
 oracle the tests hold the pattern against.
@@ -51,10 +55,9 @@ such containers serve membership tests and sizes only.
 """
 
 import functools
+import math
 import re
 from contextlib import closing
-from itertools import chain, repeat
-from operator import length_hint
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -91,13 +94,17 @@ SHIFT_TABLES = tuple(
 )
 
 
+def _prepend_test(length: int, a: bytes) -> bytes:
+    """y a y, with y at most half of ``length`` letters."""
+    return rb"(.{0,%d}?)" % (length // 2) + a + rb"\1"
+
+
 @functools.lru_cache(maxsize=1024)
 def square_after(length: int) -> tuple:
     """Prepend tests for reversed buffers of ``length`` letters: entry a
     matches rev exactly when ``SQUARE.match(LETTER_BYTES[a] + rev)`` does,
     without the join.  The module docstring says why."""
-    group = rb"(.{0,%d}?)" % (length // 2)
-    return tuple(re.compile(group + a + rb"\1", re.DOTALL).match for a in LETTER_BYTES)
+    return tuple(re.compile(_prepend_test(length, a), re.DOTALL).match for a in LETTER_BYTES)
 
 
 class ParseError(ValueError):
@@ -243,20 +250,15 @@ def reverse(w: Word) -> Word:
     return Word._wrap(bytes(w)[::-1])
 
 
-def _walk(n: int, starts, turns):
+def _walk(n: int, starts):
     """Yield (rev, a) for every square-free word of length n that extends
     one of ``starts`` (reversed non-empty square-free words shorter than
     n, at least one): a is its last letter and rev the others, reversed.
-    Words come in start order, then lexicographic order.  Each prefix
-    popped from the stack takes one item of the iterator ``turns``, so
-    ``operator.length_hint(turns)`` afterwards is the budget left; a bare
-    CountBudgetError is raised when ``turns`` runs out with prefixes left."""
+    Words come in start order, then lexicographic order."""
     stack = list(reversed(starts))
     pop, push = stack.pop, stack.append
     last = n - 1
-    # one turn per visited prefix; a budget only bounds the turns, so it
-    # adds no test per prefix
-    for _ in turns:
+    while stack:
         rev = pop()
         length = len(rev)
         square = square_after(length)
@@ -272,74 +274,136 @@ def _walk(n: int, starts, turns):
                 yield rev, b
             if square[c](rev) is None:
                 yield rev, c
-        if not stack:
-            return
-    raise CountBudgetError
 
 
-def _turns(budget: "int | None"):
-    return repeat(None) if budget is None else repeat(None, budget)
+# "\n" and a letter: the start of a batch line, and its first letter.
+_LINE_STARTS = tuple(b"\n" + a for a in LETTER_BYTES)
 
 
-# The parallel count: the parent walks the 0,1 class to its 24 words of
-# length _SPLIT_DEPTH (59 prefixes), and the subtree below each of them is
-# one pool task.  _PARALLEL_MIN_N is the shortest length where that beat
-# one process in every round of a timed crossover; it exceeds _SPLIT_DEPTH.
-# A budgeted subtree walks _CHUNK prefixes between looks at the budget that
-# all subtrees share.
+@functools.lru_cache(maxsize=1024)
+def _strikes(length: int) -> tuple:
+    """Entry a deletes the batch lines that ``square_after(length)[a]`` matches."""
+    tests = (b"\n" + _prepend_test(length, a) + rb"[^\n]*" for a in LETTER_BYTES)
+    return tuple(re.compile(test, re.DOTALL).sub for test in tests)
+
+
+def _survivors(batch: bytes, length: int) -> list:
+    """Entry a: the lines of ``batch`` (sorted by first letter) that letter a
+    extends to a square-free prefix, as they are (without a).  A line that
+    starts with a is left out unread, as a would repeat its first letter."""
+    one = batch.count(_LINE_STARTS[0]) * (length + 1)  # where the 1s start
+    two = one + batch.count(_LINE_STARTS[1]) * (length + 1)
+    strike = _strikes(length)
+    return [
+        strike[0](b"", batch[one:]),
+        strike[1](b"", batch[:one] + batch[two:]),
+        strike[2](b"", batch[:two]),
+    ]
+
+
+def _grow(batch: bytes, length: int) -> bytes:
+    """The batch of the square-free prefixes one letter longer."""
+    lines = _survivors(batch, length)
+    return b"".join([lines[a].replace(b"\n", _LINE_STARTS[a]) for a in ALPHABET])
+
+
+def _count_below(n: int, length: int, batch: bytes, take) -> int:
+    """Words of length n that extend a prefix in ``batch``, a batch of
+    prefixes of ``length`` letters, length < n.  ``take`` is called with
+    the number of prefixes in each batch before it is filtered."""
+    stack = [(length, batch)]
+    words = 0
+    while stack:
+        length, batch = stack.pop()
+        take(len(batch) // (length + 1))
+        if length == n - 1:
+            words += sum(map(len, _survivors(batch, length))) // n
+            continue
+        batch = _grow(batch, length)
+        size = _CAP * (length + 2)
+        stack.extend((length + 1, batch[i : i + size]) for i in range(0, len(batch), size))
+    return words
+
+
+class _Tally:
+    """The ``take`` of ``_count_below``: counts the prefixes walked, and
+    past ``limit`` raises a bare CountBudgetError, unless it can take one
+    of the shared ``permits`` (a semaphore) to walk ``chunk`` more."""
+
+    def __init__(self, limit=math.inf, permits=None, chunk=0):
+        self.walked, self.limit, self.permits, self.chunk = 0, limit, permits, chunk
+
+    def __call__(self, prefixes: int) -> None:
+        self.walked += prefixes
+        while self.walked > self.limit:
+            if self.permits is None or not self.permits.acquire(False):
+                raise CountBudgetError
+            self.limit += self.chunk
+
+
+def _overruns_surely(n: int, budget: int) -> bool:
+    """True when Brinkhuis' bound a(L) >= 2^(L/24) shows that the count of
+    a(n), which visits a(L)/6 prefixes of each length L = 2 .. n-1, visits
+    more than ``budget``.  The 1e-9 taken off outweighs the float error;
+    lengths past 24000 are left out, so that the sum stays finite."""
+    r = 2 ** (1 / 24)
+    least = (r ** min(n, 24000) - r**2) / (r - 1) / 6
+    return least * (1 - 1e-9) > budget
+
+
+# Batches hold at most _CAP lines: `count 53` peaked at 16.8 MB with 2^12
+# (17.0 MB with 2^13, 38.8 MB uncapped), and caps of 2^11 .. 2^14 ran as
+# fast.  The parallel count: the parent walks the 0,1 class to its 24 words
+# of length _SPLIT_DEPTH (59 prefixes), and each subtree below is one pool
+# task.  From _PARALLEL_MIN_N on that beat one process in all 15 rounds of
+# a timed crossover on 2 CPUs (12-14 wins at n = 34..37, fewer below).  A
+# budgeted subtree takes a shared permit per _CHUNK prefixes after its first.
+_CAP = 4096
 _SPLIT_DEPTH = 10
 _PARALLEL_MIN_N = 38
-_START = b"\x01\x00"  # the word 0, 1 reversed
+_START = b"\n\x01\x00"  # the batch of the word 0, 1
 _CHUNK = 4096
 
 
-def _count_subtree(permits, chunk: int, task) -> "tuple[int, int | None]":
-    """Pool task: the words of length n below one reversed prefix, and the
-    prefixes walked (None without a budget, when ``permits`` is None).
-
-    With a budget the walk takes its turns ``chunk`` at a time, and each
-    chunk after its first takes one of the shared ``permits`` (a
-    semaphore) for the chunk just finished.  The caller makes
-    ``left // chunk`` permits, where ``left`` is the budget the subtrees
-    share, so when none is left more than ``left`` prefixes have been
-    walked in all, and the walk stops with a bare CountBudgetError.
-    Permits are taken without waiting and never given back, so a worker
-    stopped at any moment leaves no process blocked.
-    """
-    n, start = task
-    if permits is None:
-        return sum(1 for _ in _walk(n, (start,), repeat(None))), None
-    chunks = []
-
-    def turns():
-        while not chunks or permits.acquire(False):
-            chunks.append(repeat(None, chunk))
-            yield chunks[-1]
-
-    words = sum(1 for _ in _walk(n, (start,), chain.from_iterable(turns())))
-    return words, len(chunks) * chunk - length_hint(chunks[-1])
+def _split(take) -> list:
+    """The batch lines of the 0,1 class at length ``_SPLIT_DEPTH``; ``take``
+    is called for the batches grown on the way, as in ``_count_below``."""
+    batch = _START
+    for length in range(2, _SPLIT_DEPTH):
+        take(len(batch) // (length + 1))
+        batch = _grow(batch, length)
+    width = _SPLIT_DEPTH + 1
+    return [batch[i : i + width] for i in range(0, len(batch), width)]
 
 
-def _count_parallel(n: int, turns, budget: "int | None") -> int:
+def _count_subtree(permits, chunk: int, task) -> "tuple[int, int]":
+    """Pool task: the words of length n below one batch line, and the
+    prefixes walked.  With a budget (``permits`` not None) the subtree
+    walks ``chunk`` prefixes, then takes a permit for each further chunk it
+    starts.  The caller makes ``left // chunk`` permits, where ``left`` is
+    the budget the subtrees share, so when none is left more than ``left``
+    prefixes have been walked in all, and the walk stops.  Permits are
+    never waited for or given back, so a worker may be stopped any time."""
+    n, line = task
+    tally = _Tally() if permits is None else _Tally(chunk, permits, chunk)
+    return _count_below(n, len(line) - 1, line, tally), tally.walked
+
+
+def _count_parallel(n: int, tally: _Tally, budget: "int | None") -> int:
     """Words of length n in the 0,1 class, walked as subtrees on a pool.
-
-    ``turns`` is the caller's budget iterator; the parent's walk to the
-    split depth takes from it, and the subtrees share what is left.  The
-    count raises a bare CountBudgetError when a subtree runs out of shared
-    permits or the prefixes walked in all pass ``budget``, and the pool
-    stops then.
-    """
+    The parent's walk to the split depth is counted in the caller's
+    ``tally``, and the subtrees share what is left of ``budget``; a bare
+    CountBudgetError stops the pool when they overrun it."""
     from . import _pool
 
-    starts = [LETTER_BYTES[a] + rev for rev, a in _walk(_SPLIT_DEPTH, (_START,), turns)]
-    tasks = [(n, start) for start in starts]
+    tasks = [(n, line) for line in _split(tally)]
     if budget is None:
         left = None
         count = functools.partial(_count_subtree, None, None)
     else:
         from multiprocessing.synchronize import SEM_VALUE_MAX
 
-        left = length_hint(turns)
+        left = budget - tally.walked
         chunk = max(_CHUNK, left // SEM_VALUE_MAX + 1)  # so the permits fit
         permits = _pool.context().Semaphore(left // chunk)
         count = functools.partial(_count_subtree, permits, chunk)
@@ -373,11 +437,13 @@ def count_square_free(n: int, node_budget: "int | None" = None) -> int:
 
     ``node_budget`` caps the prefixes visited, with the same meaning on
     both paths: the prefixes of the parent's walk plus those of every
-    subtree equal the one-process count, and the count succeeds exactly
-    when that total is at most ``node_budget``.  Otherwise
-    CountBudgetError names the budget and n.  The workers share the
-    budget while they walk, so a parallel count that overruns stops
-    within a few thousand prefixes per subtree of where one process would.
+    subtree equal the one-process count, a(m)/6 summed over m = 2 .. n-1,
+    and the count succeeds exactly when that total is at most
+    ``node_budget``.  Otherwise CountBudgetError names the budget and n.
+    A count that Brinkhuis' bound a(m) >= 2^(m/24) already shows to
+    overrun fails before it walks.  The workers share the budget while
+    they walk, so a parallel count that overruns stops within a few
+    thousand prefixes per subtree of where one process would.
     """
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
@@ -385,14 +451,16 @@ def count_square_free(n: int, node_budget: "int | None" = None) -> int:
         raise ValueError(f"node budget must be >= 0, got {node_budget}")
     if n < 3:
         return (1, 3, 6)[n]
-    turns = _turns(node_budget)
+    tally = _Tally(math.inf if node_budget is None else node_budget)
     try:
+        if node_budget is not None and _overruns_surely(n, node_budget):
+            raise CountBudgetError
         if n >= _PARALLEL_MIN_N:
             from . import _pool  # here, so that commands without a pool do not load it
 
             if _pool.usable_cpus() >= 2:
-                return 6 * _count_parallel(n, turns, node_budget)
-        return 6 * sum(1 for _ in _walk(n, (_START,), turns))
+                return 6 * _count_parallel(n, tally, node_budget)
+        return 6 * _count_below(n, 2, _START, tally)
     except CountBudgetError:
         raise CountBudgetError(
             f"node budget of {node_budget} prefixes exhausted before a({n}) was counted"
@@ -406,5 +474,5 @@ def enumerate_square_free(n: int) -> Iterator[Word]:
     if n < 2:
         yield from map(Word._wrap, LETTER_BYTES if n else (b"",))
         return
-    for rev, a in _walk(n, LETTER_BYTES, repeat(None)):
+    for rev, a in _walk(n, LETTER_BYTES):
         yield Word._wrap((LETTER_BYTES[a] + rev)[::-1])

@@ -88,10 +88,21 @@ class TestCount:
         assert run(["count", "20", "--nodes", "1241"], capsys) == (0, "2388\n", "")
 
     def test_default_budget_stops_a_long_count(self, capsys, monkeypatch):
+        # a(100) needs more than 1000 prefixes, but Brinkhuis' bound does
+        # not show it, so the walk itself runs out
         monkeypatch.setattr(cli, "DEFAULT_COUNT_BUDGET", 1000)
-        code, out, err = run(["count", "500"], capsys)
+        code, out, err = run(["count", "100"], capsys)
         assert (code, out) == (3, "")
         assert err.startswith("error: node budget of 1000")
+
+    def test_default_budget_fails_a500_before_walking(self, capsys):
+        # Brinkhuis' bound puts more than 10^7 prefixes below a(500), so
+        # the count exits 3 at once instead of walking 10^7 of them
+        assert run(["count", "500"], capsys) == (
+            3,
+            "",
+            "error: node budget of 10000000 prefixes exhausted before a(500) was counted\n",
+        )
 
     def test_default_budget_reaches_a42(self, capsys):
         # a(42) visits 452767 prefixes

@@ -49,10 +49,11 @@ def test_workers_are_reaped(set_cpus):
     assert multiprocessing.active_children() == []
     assert count_square_free(words._PARALLEL_MIN_N) == 285750
     assert multiprocessing.active_children() == []
-    # a budget that runs out in the parent's walk, and one in the workers'
+    # a budget that runs out in the parent's walk, and one in the workers';
+    # at n=60 neither is known to be too small before the walk
     for budget in (58, 10**5):
         with pytest.raises(CountBudgetError):
-            count_square_free(5000, node_budget=budget)
+            count_square_free(60, node_budget=budget)
         assert multiprocessing.active_children() == []
 
 

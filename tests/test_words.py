@@ -1,10 +1,10 @@
 """Word layer: parsing, the square pattern against its oracle, counting, enumeration."""
 
+import decimal
 import itertools
+import math
 import os
 import random
-from itertools import repeat
-from operator import length_hint
 
 import pytest
 from hypothesis import given
@@ -25,7 +25,7 @@ from ternwords import (
     shift,
 )
 from ternwords import _pool, words
-from ternwords.words import SQUARE, _find_square_scan, square_after
+from ternwords.words import SQUARE, _find_square_scan, _strikes, _survivors, square_after
 
 # a(0) .. a(14), cross-checked against the brute-force filter over all 3^n
 # words (test_counts_match_brute_force repeats that check up to n=10).
@@ -229,6 +229,37 @@ class TestSquareAfter:
         assert (square_after(len(rev))[a](rev) is not None) == joined
 
 
+def batch(revs) -> bytes:
+    """The count's batch form: each reversed prefix led by a newline."""
+    return b"".join(b"\n" + rev for rev in revs)
+
+
+class TestBatchFilter:
+    """One substitution per letter deletes from a batch exactly the lines
+    that the prepend form rejects, and no match crosses a line end."""
+
+    def test_exhaustive_on_square_free_prefixes_up_to_14(self):
+        # the reverse of a square-free word is square-free, so these are
+        # every reversed prefix the count can hold; most letters delete
+        # some lines and keep others, and lines of every first letter mix
+        for n in range(1, 15):
+            revs = sorted(bytes(w)[::-1] for w in enumerate_square_free(n))
+            whole = batch(revs)
+            for a in (0, 1, 2):
+                kept = batch(rev for rev in revs if square_after(n)[a](rev) is None)
+                assert 0 < len(kept) < len(whole), (n, a)
+                assert _strikes(n)[a](b"", whole) == kept, (n, a)
+                assert _survivors(whole, n)[a] == kept, (n, a)
+
+    @given(st.integers(1, 40), st.lists(st.lists(LETTER, min_size=40, max_size=40), max_size=12))
+    def test_random_buffers(self, n, rows):
+        # any buffers of one length, square-free or not, in any order
+        revs = [bytes(row[:n]) for row in rows]
+        for a in (0, 1, 2):
+            kept = batch(rev for rev in revs if square_after(n)[a](rev) is None)
+            assert _strikes(n)[a](b"", batch(revs)) == kept
+
+
 class TestIsSquareFree:
     def test_examples(self):
         assert is_square_free(Word([0, 1, 2, 0, 2, 1]))
@@ -322,9 +353,113 @@ class TestCounting:
             count_square_free(20, node_budget=-1)
 
 
+ALL_COUNTS = COUNTS + COUNTS_TAIL
+
+
+def walked(n: int) -> int:
+    """The prefixes the count of a(n) visits: a(m) / 6 for m = 2 .. n-1."""
+    return sum(ALL_COUNTS[2:n]) // 6
+
+
 def one_process(n: int) -> int:
-    """a(n), n >= 2, by the whole walk of the 0,1 class in this process."""
-    return 6 * sum(1 for _ in words._walk(n, (words._START,), repeat(None)))
+    """a(n), n >= 2, by the depth-first walk that enumeration uses."""
+    return 6 * sum(1 for _ in words._walk(n, (b"\x01\x00",)))
+
+
+@pytest.fixture()
+def batches(monkeypatch):
+    """The prefix count of every batch that later counts walk in this
+    process, in walk order, the batch that overruns a budget included."""
+    taken = []
+    count_below = words._count_below
+
+    def counting(n, length, batch, take):
+        def counted(prefixes):
+            taken.append(prefixes)
+            take(prefixes)
+
+        return count_below(n, length, batch, counted)
+
+    monkeypatch.setattr(words, "_count_below", counting)
+    return taken
+
+
+class TestBatchCount:
+    """The batch counter against the depth-first walk, with any cap."""
+
+    def test_equals_the_walk_on_one_process(self, set_cpus, batches):
+        # the batches for a(n) hold a(m) / 6 prefixes of each length m < n
+        set_cpus(1)
+        prefixes = 1  # the word 0, 1
+        for n in range(3, 35):
+            batches.clear()
+            assert count_square_free(n) == one_process(n), n
+            assert sum(batches) == prefixes, n
+            prefixes += one_process(n) // 6
+
+    def test_a_small_cap(self, monkeypatch, set_cpus, batches):
+        set_cpus(1)
+        monkeypatch.setattr(words, "_CAP", 16)
+        for n in range(3, len(ALL_COUNTS)):
+            batches.clear()
+            assert count_square_free(n) == ALL_COUNTS[n], n
+            assert sum(batches) == walked(n)
+            assert max(batches) <= 16
+
+    def test_a_small_cap_on_the_pool(self, monkeypatch, set_cpus, pool_sizes, batches):
+        set_cpus(2)
+        monkeypatch.setattr(words, "_PARALLEL_MIN_N", words._SPLIT_DEPTH + 1)
+        monkeypatch.setattr(words, "_CAP", 16)
+        assert count_square_free(30, node_budget=walked(30)) == 34422
+        assert sum(batches) == walked(30) - 59  # the parent walks 59 prefixes
+        assert max(batches) <= 16
+        assert pool_sizes == [2]
+
+
+class TestBudgetPreCheck:
+    """A count that Brinkhuis' bound a(n) >= 2^(n/24) shows to overrun its
+    budget fails before it walks."""
+
+    def test_the_bound_holds_for_every_pinned_count(self):
+        pinned = dict(enumerate(ALL_COUNTS))
+        pinned.update({38: 285750, 42: 821154, 45: 1812876, 53: 14956584})
+        for n, count in pinned.items():
+            assert count**24 >= 2**n, n
+
+    def test_against_the_sum_in_40_digits(self):
+        # the float sum never exceeds the exact one, and misses it by less
+        # than a part in 10^8
+        with decimal.localcontext() as context:
+            context.prec = 40
+            exact = decimal.Decimal(0)
+            for n in range(3, 700):
+                exact += decimal.Decimal(2) ** (decimal.Decimal(n - 1) / 24) / 6
+                assert not words._overruns_surely(n, math.ceil(exact)), n
+                less = math.floor(exact * (1 - decimal.Decimal("1e-8")))
+                assert words._overruns_surely(n, less), n
+
+    def test_never_fires_on_a_budget_that_fits(self):
+        for n in range(3, len(ALL_COUNTS) + 1):
+            assert not words._overruns_surely(n, walked(n)), n
+        assert not words._overruns_surely(42, 452767)
+        assert not words._overruns_surely(100, 97)
+
+    def test_fires_where_the_bound_passes_the_budget(self):
+        # sum of 2^(m/24) / 6 over m = 2 .. 99 is about 96.1
+        assert words._overruns_surely(100, 96)
+        assert words._overruns_surely(3, 0)
+        assert not words._overruns_surely(497, words.DEFAULT_COUNT_BUDGET)
+        assert words._overruns_surely(498, words.DEFAULT_COUNT_BUDGET)
+        assert words._overruns_surely(10**9, 10**30)
+        assert not words._overruns_surely(10**9, 10**400)  # past floats, no error
+
+    def test_a_hopeless_count_walks_nothing(self, batches):
+        with pytest.raises(
+            CountBudgetError,
+            match=r"^node budget of 10000000 prefixes exhausted before a\(500\) was counted$",
+        ):
+            count_square_free(500, node_budget=words.DEFAULT_COUNT_BUDGET)
+        assert batches == []
 
 
 class TestParallelCount:
@@ -339,10 +474,12 @@ class TestParallelCount:
         monkeypatch.setattr(words, "_PARALLEL_MIN_N", words._SPLIT_DEPTH + 1)
 
     def test_split(self):
-        turns = repeat(None, 1000)
-        starts = list(words._walk(words._SPLIT_DEPTH, (words._START,), turns))
+        tally = words._Tally()
+        starts = words._split(tally)
         assert len(starts) == 24
-        assert 1000 - length_hint(turns) == 59  # prefixes the parent walks
+        assert tally.walked == 59  # prefixes the parent walks
+        below = words._walk(words._SPLIT_DEPTH, (b"\x01\x00",))
+        assert sorted(starts) == sorted(b"\n" + bytes((a,)) + rev for rev, a in below)
 
     def test_equals_one_process(self, parallel):
         for n in range(words._SPLIT_DEPTH + 1, words._PARALLEL_MIN_N + 1):
@@ -402,32 +539,18 @@ class TestParallelCount:
 class TestSharedBudget:
     """A budgeted subtree takes a shared permit for every whole chunk it
     walks after its first, and stops when none is left, so the workers of
-    a count that overruns stop near the budget."""
-
-    def _walked(self, monkeypatch):
-        """Count the turns every later walk takes, in this process."""
-        taken = []
-        walk = words._walk
-
-        def counting_walk(n, starts, turns):
-            def counted():
-                for turn in turns:
-                    taken.append(turn)
-                    yield turn
-
-            return walk(n, starts, counted())
-
-        monkeypatch.setattr(words, "_walk", counting_walk)
-        return taken
+    a count that overruns stop near the budget.  The walk counts a whole
+    batch at a time, so it stops after the batch that passes its last
+    chunk."""
 
     @pytest.mark.parametrize("permits", [0, 1, 3])
-    def test_a_subtree_stops_after_its_permits(self, monkeypatch, permits):
+    def test_a_subtree_stops_after_its_permits(self, batches, permits):
         sem = _pool.context().Semaphore(permits)
-        taken = self._walked(monkeypatch)
         with pytest.raises(CountBudgetError):
-            words._count_subtree(sem, 100, (500, words._START))
-        # one free chunk, one per permit, and no turn of the next chunk
-        assert len(taken) == 100 * (permits + 1)
+            words._count_subtree(sem, 100, (100, words._START))
+        # one free chunk and one per permit, and the batch that passed them
+        # is the last one walked
+        assert sum(batches[:-1]) <= 100 * (permits + 1) < sum(batches)
         assert sem.acquire(False) is False
 
     def test_a_subtree_that_fits_reports_its_prefixes(self):
@@ -437,7 +560,7 @@ class TestSharedBudget:
         for _ in range(100 - 12):
             assert sem.acquire(False)
         assert sem.acquire(False) is False  # only whole chunks took permits
-        assert words._count_subtree(None, None, (20, words._START)) == (2388 // 6, None)
+        assert words._count_subtree(None, None, (20, words._START)) == (2388 // 6, 1241)
 
     def test_many_workers_share_the_budget(self, monkeypatch, set_cpus):
         # more workers than CPUs, each taking a permit every 64 prefixes; a
@@ -449,15 +572,17 @@ class TestSharedBudget:
             with pytest.raises(CountBudgetError):
                 count_square_free(42, node_budget=452766)
 
-    def test_an_overrun_stops_near_the_budget(self, monkeypatch, set_cpus, pool_sizes):
+    def test_an_overrun_stops_near_the_budget(self, set_cpus, pool_sizes, batches):
         # in one process the subtrees run one after another: the first
-        # overruns the shared budget and stops within a chunk of it
+        # overruns the shared budget and stops within a chunk and a batch
+        # of it
         set_cpus(2)
-        taken = self._walked(monkeypatch)
         budget = 10 * words._CHUNK
         with pytest.raises(CountBudgetError, match="node budget of 40960 "):
-            count_square_free(500, node_budget=budget)
-        assert budget < len(taken) <= budget + words._CHUNK
+            count_square_free(100, node_budget=budget)
+        walked = 59 + sum(batches)  # the parent walks 59 prefixes
+        assert budget < walked <= budget + words._CHUNK + batches[-1]
+        assert batches[-1] <= words._CAP
         assert pool_sizes == [2]
 
 
