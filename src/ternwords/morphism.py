@@ -33,7 +33,7 @@ about two blocks of an image are new on average.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .words import SQUARE, Word, enumerate_square_free, find_square
 from .triplepair import TriplePair, verify
@@ -56,11 +56,7 @@ class ExpansionBudgetError(RuntimeError):
     """An expansion run would enumerate more images than the budget allows."""
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    k: int
-    exponent_denominator: int
-    mu_lower_bound: float
+BoundReport = namedtuple("BoundReport", "k exponent_denominator mu_lower_bound")
 
 
 def lower_bound(k: int) -> BoundReport:
@@ -94,16 +90,12 @@ def substitute(tp: TriplePair, x: Word, choices: str) -> Word:
     return Word._wrap(b"".join(u[a] if c == "U" else v[a] for a, c in zip(bytes(x), ch)))
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
-    """``first_square`` is None, or (word, choices, witness) for the first
-    image in visiting order that has a square, with ``find_square``'s
-    witness in that image."""
-
-    total: int
-    all_square_free: bool
-    all_distinct: bool
-    first_square: "tuple | None" = None
+ExpansionReport = namedtuple(
+    "ExpansionReport", "total all_square_free all_distinct first_square", defaults=(None,)
+)
+ExpansionReport.__doc__ = """Outcome of ``verify_expansion``.  ``first_square`` is None, or
+(word, choices, witness) for the first image in visiting order that has a
+square, with ``find_square``'s witness in that image."""
 
 
 def _require_verified(tp: TriplePair):

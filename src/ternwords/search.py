@@ -33,8 +33,8 @@ pair set independent of the shard count.  The pool never has more workers
 than shards or CPUs.  A search with a node budget runs in one process.
 """
 
+from collections import namedtuple
 from contextlib import closing
-from dataclasses import dataclass, replace
 
 from .words import LETTER_BYTES, SHIFT_TABLES, SQUARE, Word, shift, square_after
 from .triplepair import TriplePair, make_triple_pair, verify
@@ -42,20 +42,25 @@ from .triplepair import TriplePair, make_triple_pair, verify
 __all__ = ["SearchConfig", "SearchOutcome", "find_pairs", "prune_check", "canonicalize"]
 
 
-@dataclass
-class SearchConfig:
-    """Search space description; defaults match the classic 18-pair hunt."""
+class SearchConfig(
+    namedtuple(
+        "SearchConfig",
+        "k shift_symmetry palindrome_constraint first_letter max_results node_budget"
+        " parallel_shards canonical",
+        defaults=(True, False, 2, None, None, 1, True),
+    )
+):
+    """Search space description; defaults match the classic 18-pair hunt.
 
-    k: int
-    shift_symmetry: bool = True
-    palindrome_constraint: bool = False
-    first_letter: "int | None" = 2
-    max_results: "int | None" = None
-    node_budget: "int | None" = None
-    parallel_shards: int = 1
-    canonical: bool = True
+    Immutable; ``config._replace(parallel_shards=4)`` makes a copy with
+    some fields changed.  Every constructor that takes caller values,
+    ``_replace`` included, checks them.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if self.palindrome_constraint and not self.shift_symmetry:
@@ -68,13 +73,14 @@ class SearchConfig:
             raise ValueError("node_budget must be >= 0 or None")
         if self.parallel_shards < 1:
             raise ValueError("parallel_shards must be >= 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "SearchConfig":
+        return cls(*iterable)
 
 
-@dataclass
-class SearchOutcome:
-    pairs_found: list
-    nodes_expanded: int
-    exhausted: bool
+SearchOutcome = namedtuple("SearchOutcome", "pairs_found nodes_expanded exhausted")
 
 
 def canonicalize(tp: TriplePair) -> TriplePair:
@@ -118,7 +124,7 @@ def prune_check(config: SearchConfig, letters) -> bool:
         raise ValueError("assignment longer than the search space")
     kept = []
     _new_searcher(
-        replace(config, node_budget=None), prefix=seq, stop_depth=len(seq), collector=kept.append
+        config._replace(node_budget=None), prefix=seq, stop_depth=len(seq), collector=kept.append
     ).run()
     return bool(kept)
 
@@ -332,13 +338,11 @@ def _new_searcher(cfg: SearchConfig, **kw) -> _SearcherBase:
 def _run_single(cfg: SearchConfig, prefix=()) -> SearchOutcome:
     s = _new_searcher(cfg, prefix=prefix)
     s.run()
-    return SearchOutcome(pairs_found=s.results, nodes_expanded=s.nodes, exhausted=s.exhausted)
+    return SearchOutcome(s.results, s.nodes, s.exhausted)
 
 
 def _shard_worker(task):
-    cfg, prefix = task
-    out = _run_single(cfg, prefix=prefix)
-    return out.pairs_found, out.nodes_expanded, out.exhausted
+    return _run_single(*task)
 
 
 def _shard_prefixes(cfg: SearchConfig):
@@ -383,8 +387,7 @@ def find_pairs(config: SearchConfig) -> SearchOutcome:
     prefixes, setup_nodes = _shard_prefixes(config)
     if len(prefixes) <= 1:
         out = _run_single(config)
-        out.nodes_expanded += setup_nodes
-        return out
+        return out._replace(nodes_expanded=out.nodes_expanded + setup_nodes)
 
     from ._pool import pool_imap  # here, so that commands without a pool do not load it
 

@@ -15,12 +15,18 @@ two adjacent blocks only.  Pair 2 of the k=23 search with first letter 2
 passes both, yet the image of 010 with choices UUU has a square of period
 18 across three blocks (tests/data/unsound_k23_pair.txt).
 
-``verify`` works out the verdict first, with the head/tail check for each
-r and then the 24 concatenations, and stops at the first check that fails.
-The Certificate it returns builds its tuples of every individual check,
-from the same check code, when they are first read.  ``certificate_text``
-renders it in a fixed line-oriented format suitable for golden-file
-comparison.
+``verify`` works out the verdict first, with the head/tail condition for
+each r and then the 24 concatenations, and stops at the first check that
+fails.  For the verdict, the head/tail condition at r needs only the size
+of the set of 12 factors.  The Certificate it returns builds its tuples of
+every individual check, from the same check code, when they are first
+read.  ``certificate_text`` renders it in a fixed line-oriented format
+suitable for golden-file comparison.
+
+TriplePair, the checks and Certificate are ``collections.namedtuple``
+classes: immutable, and equal and hashed as their field tuples.  The
+search builds a TriplePair with ``TriplePair._wrap`` and a Certificate at
+every leaf, and a namedtuple costs less to build than a frozen dataclass.
 
 The checks read the six words once as byte strings, and the concatenation
 check builds each word's shifts by 1 and 2 once.  Checks are frozen, so
@@ -39,9 +45,8 @@ colliding pair only when two coincide, and shares its checks per
 """
 
 import functools
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .words import SHIFT_TABLES, ParseError, SquareWitness, Word, find_square, parse_word
 
@@ -76,33 +81,38 @@ HEADTAIL_LABELS = tuple(f"head{s}" for s in _HT_SOURCES) + tuple(
 )
 
 
-@dataclass(frozen=True)
-class TriplePair:
-    """Six equal-length words, grouped as u = (U0, U1, U2) and v = (V0, V1, V2)."""
+class TriplePair(namedtuple("TriplePair", "u v")):
+    """Six equal-length words, grouped as u = (U0, U1, U2) and v = (V0, V1, V2).
 
-    u: tuple
-    v: tuple
+    Immutable, and equal and hashed as the tuple (u, v).  Every constructor
+    that takes caller values, ``_replace`` included, checks the words.
+    """
 
-    def __post_init__(self):
-        if len(self.u) != 3 or len(self.v) != 3:
+    __slots__ = ()
+
+    def __new__(cls, u: tuple, v: tuple):
+        tp = tuple.__new__(cls, (u, v))
+        if len(u) != 3 or len(v) != 3:
             raise ValueError("a triple-pair needs exactly three U words and three V words")
-        k = len(self.u[0])
-        for label, w in zip(WORD_LABELS, self.words_in_file_order()):
+        k = len(u[0])
+        for label, w in zip(WORD_LABELS, tp.words_in_file_order()):
             if not isinstance(w, Word):
                 raise ValueError(f"{label} is not a Word")
             if len(w) != k:
                 raise ValueError(f"length mismatch: {label} has length {len(w)}, expected {k}")
         if k < 2:
             raise ValueError(f"degenerate length k={k}: a triple-pair needs k >= 2")
+        return tp
+
+    @classmethod
+    def _make(cls, iterable) -> "TriplePair":
+        return cls(*iterable)
 
     @classmethod
     def _wrap(cls, u: tuple, v: tuple) -> "TriplePair":
         # Internal constructor for words that are already valid, as the
-        # search's leaves are: it skips the checks of __post_init__.
-        tp = object.__new__(cls)
-        object.__setattr__(tp, "u", u)
-        object.__setattr__(tp, "v", v)
-        return tp
+        # search's leaves are: it skips the checks of __new__.
+        return tuple.__new__(cls, (u, v))
 
     @property
     def k(self) -> int:
@@ -121,28 +131,25 @@ def make_triple_pair(words: Sequence[Word]) -> TriplePair:
     return TriplePair(u=(u0, u1, u2), v=(v0, v1, v2))
 
 
-@dataclass(frozen=True)
-class ConcatCheck:
-    """Outcome of one concatenation check; label is '<i><c1><j><c2>', e.g. '0U1V'."""
+class ConcatCheck(namedtuple("ConcatCheck", "label witness")):
+    """Outcome of one concatenation check; label is '<i><c1><j><c2>', e.g. '0U1V',
+    and witness a SquareWitness or None."""
 
-    label: str
-    witness: "SquareWitness | None"
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.witness is None
 
 
-@dataclass(frozen=True)
-class HeadTailCheck:
+class HeadTailCheck(namedtuple("HeadTailCheck", "r collision")):
     """Distinctness of the 12 heads and tails at one length r.
 
     On failure, collision holds the lexicographically first colliding pair
-    of source labels, e.g. ('headU0', 'tailV2').
+    of source labels, e.g. ('headU0', 'tailV2'); it is None on success.
     """
 
-    r: int
-    collision: "tuple | None"
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -204,8 +211,18 @@ def heads_and_tails(tp: TriplePair, r: int) -> list:
     rng = head_tail_range(tp.k)
     if r not in rng:
         raise ValueError(f"r={r} outside [{rng.start}, {rng.stop - 1}] for k={tp.k}")
-    sources = (tp.u[0], tp.u[1], tp.u[2], tp.v[0], tp.v[1], tp.v[2])
-    return [w[:r] for w in sources] + [w[len(w) - r :] for w in sources]
+    return [Word._wrap(f) for f in _factors(_letter_bytes(tp), tp.k, r)]
+
+
+def _factors(ws: tuple, k: int, r: int) -> tuple:
+    """The 12 factors of length r of the six words' letters ``ws`` (in file
+    order), in HEADTAIL_LABELS order: heads of U0,U1,U2,V0,V1,V2, then tails."""
+    u0, v0, u1, v1, u2, v2 = ws
+    t = k - r
+    return (
+        u0[:r], u1[:r], u2[:r], v0[:r], v1[:r], v2[:r],
+        u0[t:], u1[t:], u2[t:], v0[t:], v1[t:], v2[t:],
+    )
 
 
 @functools.lru_cache(maxsize=4096)
@@ -216,13 +233,8 @@ def _headtail_check(r: int, a=None, b=None) -> HeadTailCheck:
 
 def _headtail_checks(ws: tuple, k: int):
     """Yield the head/tail check of each r in range, in increasing r."""
-    u0, v0, u1, v1, u2, v2 = ws
     for r in head_tail_range(k):
-        t = k - r
-        items = (
-            u0[:r], u1[:r], u2[:r], v0[:r], v1[:r], v2[:r],
-            u0[t:], u1[t:], u2[t:], v0[t:], v1[t:], v2[t:],
-        )  # in HEADTAIL_LABELS order
+        items = _factors(ws, k, r)
         if len(set(items)) < 12:
             # the smallest a with a later equal item, then the smallest such b
             a = next(a for a in range(11) if items[a] in items[a + 1 :])
@@ -231,49 +243,64 @@ def _headtail_checks(ws: tuple, k: int):
             yield _headtail_check(r)
 
 
-@dataclass(frozen=True)
-class Certificate:
+def _heads_tails_distinct(ws: tuple, k: int) -> bool:
+    """Whether every r in range has 12 distinct factors: the verdict of
+    the head/tail checks, without naming a collision."""
+    for r in head_tail_range(k):
+        if len(set(_factors(ws, k, r))) < 12:
+            return False
+    return True
+
+
+class Certificate(namedtuple("Certificate", "k verdict letters")):
     """Full record of a verification run.
 
     The verdict is the conjunction of every individual check; ``verify``
-    works it out first and stops at the first failing check.  The check
+    works it out first and stops at the first failing check.  ``letters``
+    holds the six words' letters as byte strings, in file order.  The check
     tuples ``concat_results`` and ``headtail_results`` are built by the same
     check code, run again in full, the first time each is read; so are the
     shift_symmetric and palindromic_base flags, which are informational.
+    A certificate is immutable: its fields and those cached values cannot
+    be assigned or deleted.
     """
 
-    k: int
-    verdict: bool
-    _words: tuple = field(repr=False)  # the six words' letters, in file order
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a Certificate is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a Certificate is immutable")
 
     @functools.cached_property
     def concat_results(self) -> tuple:
-        return tuple(_concat_checks(self._words))
+        return tuple(_concat_checks(self.letters))
 
     @functools.cached_property
     def headtail_results(self) -> tuple:
-        return tuple(_headtail_checks(self._words, self.k))
+        return tuple(_headtail_checks(self.letters, self.k))
 
     @functools.cached_property
     def shift_symmetric(self) -> bool:
         """Whether U1, V1, U2, V2 are U0 and V0 shifted letterwise by 1 and 2."""
-        u0, v0 = self._words[:2]
+        u0, v0 = self.letters[:2]
         shifts = tuple(w.translate(SHIFT_TABLES[d]) for d in (1, 2) for w in (u0, v0))
-        return self._words[2:] == shifts
+        return self.letters[2:] == shifts
 
     @functools.cached_property
     def palindromic_base(self) -> bool:
         """Whether U0 and V0 are palindromes."""
-        u0, v0 = self._words[:2]
+        u0, v0 = self.letters[:2]
         return u0 == u0[::-1] and v0 == v0[::-1]
 
 
 def verify(tp: TriplePair) -> Certificate:
-    """Evaluate both defining conditions: the head/tail check per r, then
-    the 24 concatenations, up to the first that fails."""
+    """Evaluate both defining conditions: the head/tail condition per r,
+    then the 24 concatenations, up to the first that fails.  The verdict
+    needs only the size of each r's set of 12 factors; which pair collides
+    is worked out when ``headtail_results`` is read."""
     ws = _letter_bytes(tp)
     k = len(ws[0])
-    ok = all(h.ok for h in _headtail_checks(ws, k)) and all(c.ok for c in _concat_checks(ws))
+    ok = _heads_tails_distinct(ws, k) and all(c.ok for c in _concat_checks(ws))
     return Certificate(k, ok, ws)
 
 
@@ -341,7 +368,8 @@ def parse_pair_text(text: str) -> TriplePair:
 
 
 def read_pair_file(path) -> TriplePair:
-    return parse_pair_text(Path(path).read_text())
+    with open(path) as f:
+        return parse_pair_text(f.read())
 
 
 def pair_text(tp: TriplePair) -> str:

@@ -38,9 +38,16 @@ a newline.  Batches past ``_CAP`` lines are cut and walked depth first.
 Subtrees share nothing, so forked workers (the package's one pool, in
 ``_pool``) can count the subtrees below a fixed length, and one node
 budget, shared while they walk, counts the prefixes of all those batches.
+A count that a proven lower bound on a(m) shows to overrun its budget
+fails before it walks (``_overruns_surely``).
 
 ``_find_square_scan`` is the plain (start, period) scan, kept only as the
 oracle the tests hold the pattern against.
+
+``SquareWitness`` is a ``collections.namedtuple``, as are the package's
+other value types: importing the package loads neither ``typing`` nor
+``dataclasses`` (which brings ``inspect``, ``ast``, ``dis`` and
+``tokenize`` with it), so every command starts sooner.
 
 A ``Word`` stores its letters as one ``bytes`` object, one byte 0, 1 or 2
 per letter, and ``bytes(w)`` returns that object without a copy.  Every
@@ -57,8 +64,9 @@ such containers serve membership tests and sizes only.
 import functools
 import math
 import re
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from contextlib import closing
-from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "ALPHABET",
@@ -120,11 +128,10 @@ class CountBudgetError(RuntimeError):
     """A count visited as many prefixes as its node budget allows."""
 
 
-class SquareWitness(NamedTuple):
-    """Location of a square: w[start : start+period] == w[start+period : start+2*period]."""
-
-    start: int
-    period: int
+SquareWitness = namedtuple("SquareWitness", "start period")
+SquareWitness.__doc__ = (
+    "Location of a square: w[start : start+period] == w[start+period : start+2*period]."
+)
 
 
 class Word:
@@ -341,14 +348,35 @@ class _Tally:
             self.limit += self.chunk
 
 
+# a(0) .. a(24), the counts the pre-check's second bound starts from.
+_SMALL_COUNTS = (
+    1, 3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264, 342, 456,
+    618, 798, 1044, 1392, 1830, 2388, 3180, 4146, 5418, 7032,
+)
+
+
 def _overruns_surely(n: int, budget: int) -> bool:
-    """True when Brinkhuis' bound a(L) >= 2^(L/24) shows that the count of
-    a(n), which visits a(L)/6 prefixes of each length L = 2 .. n-1, visits
-    more than ``budget``.  The 1e-9 taken off outweighs the float error;
-    lengths past 24000 are left out, so that the sum stays finite."""
+    """True when a proven lower bound shows that the count of a(n), which
+    visits a(L)/6 prefixes of each length L = 2 .. n-1, visits more than
+    ``budget``.  Two bounds, either suffices:
+
+    * Brinkhuis' a(L) >= 2^(L/24), summed over every L in closed form.  The
+      1e-9 taken off outweighs the float error; lengths past 24000 are left
+      out, so that the sum stays finite.
+    * The built-in 18-pair's a(18j) >= 2^j * a(j), summed exactly over the
+      lengths L = 18j with j <= 24, whose a(j) are in ``_SMALL_COUNTS``;
+      6 divides 2^j * a(j) for j >= 1.
+    """
     r = 2 ** (1 / 24)
     least = (r ** min(n, 24000) - r**2) / (r - 1) / 6
-    return least * (1 - 1e-9) > budget
+    if least * (1 - 1e-9) > budget:
+        return True
+    total = 0
+    for j in range(1, min((n - 1) // 18, 24) + 1):
+        total += 2**j * _SMALL_COUNTS[j] // 6
+        if total > budget:
+            return True
+    return False
 
 
 # Batches hold at most _CAP lines: `count 53` peaked at 16.8 MB with 2^12
@@ -440,10 +468,11 @@ def count_square_free(n: int, node_budget: "int | None" = None) -> int:
     subtree equal the one-process count, a(m)/6 summed over m = 2 .. n-1,
     and the count succeeds exactly when that total is at most
     ``node_budget``.  Otherwise CountBudgetError names the budget and n.
-    A count that Brinkhuis' bound a(m) >= 2^(m/24) already shows to
-    overrun fails before it walks.  The workers share the budget while
-    they walk, so a parallel count that overruns stops within a few
-    thousand prefixes per subtree of where one process would.
+    A count that a proven lower bound on a(m) already shows to overrun
+    (Brinkhuis' a(m) >= 2^(m/24), or the built-in pair's
+    a(18j) >= 2^j * a(j)) fails before it walks.  The workers share the
+    budget while they walk, so a parallel count that overruns stops within
+    a few thousand prefixes per subtree of where one process would.
     """
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")

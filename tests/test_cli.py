@@ -104,6 +104,15 @@ class TestCount:
             "error: node budget of 10000000 prefixes exhausted before a(500) was counted\n",
         )
 
+    def test_default_budget_fails_a400_before_walking(self, capsys):
+        # the built-in pair's a(18j) >= 2^j * a(j) puts more than 10^7
+        # prefixes below a(400), where Brinkhuis' bound does not
+        assert run(["count", "400"], capsys) == (
+            3,
+            "",
+            "error: node budget of 10000000 prefixes exhausted before a(400) was counted\n",
+        )
+
     def test_default_budget_reaches_a42(self, capsys):
         # a(42) visits 452767 prefixes
         assert run(["count", "42"], capsys) == (0, "821154\n", "")

@@ -357,6 +357,12 @@ class TestCountingInequality:
 
 
 class TestLowerBound:
+    def test_report_is_immutable(self):
+        report = lower_bound(18)
+        assert report == (18, 17, 2 ** (1 / 17))
+        with pytest.raises(AttributeError):
+            report.k = 19
+
     def test_classic_values(self):
         assert lower_bound(18).mu_lower_bound == pytest.approx(2 ** (1 / 17), abs=0)
         assert lower_bound(18).exponent_denominator == 17

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -77,6 +76,26 @@ class TestSearchConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SearchConfig(**kwargs)
+        with pytest.raises(ValueError):
+            SearchConfig(k=6)._replace(**kwargs)
+
+    def test_a_copy_changes_only_the_named_fields(self):
+        cfg = SearchConfig(k=18, first_letter=None, node_budget=100)
+        copy = cfg._replace(parallel_shards=4)
+        assert copy == SearchConfig(k=18, first_letter=None, node_budget=100, parallel_shards=4)
+        assert cfg.parallel_shards == 1
+        assert SearchConfig._make(cfg) == cfg
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            SearchConfig._make((1, *cfg[1:]))
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = SearchConfig(k=18)
+        for field in ("k", "node_budget", "other"):
+            with pytest.raises(AttributeError):
+                setattr(cfg, field, None)
+        outcome = find_pairs(SearchConfig(k=5, first_letter=2))
+        with pytest.raises(AttributeError):
+            outcome.nodes_expanded += 1
 
 
 class TestPruneCheck:
@@ -427,7 +446,7 @@ class TestShardPool:
     def test_node_budget_runs_in_one_process(self, pool_sizes, shards, budget):
         cfg = SearchConfig(k=18, first_letter=None, node_budget=budget)
         single = find_pairs(cfg)
-        sharded = find_pairs(replace(cfg, parallel_shards=shards))
+        sharded = find_pairs(cfg._replace(parallel_shards=shards))
         assert pool_sizes == []
         assert sharded == single
         assert sharded.nodes_expanded <= budget
@@ -461,7 +480,7 @@ class TestShardPool:
         assert pool_sizes == [2]
         assert sharded.exhausted
         assert sharded.nodes_expanded == 39648  # 14592 on one process
-        assert sharded.pairs_found == find_pairs(replace(cfg, parallel_shards=1)).pairs_found
+        assert sharded.pairs_found == find_pairs(cfg._replace(parallel_shards=1)).pairs_found
 
 
 def cut_points(cfg: SearchConfig) -> list:

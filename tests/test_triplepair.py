@@ -1,6 +1,5 @@
 """Triple-pair construction, the two defining checks, certificates, file IO."""
 
-from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -108,6 +107,30 @@ class TestConstruction:
     def test_non_word_rejected(self):
         with pytest.raises(ValueError, match="V0 is not a Word"):
             TriplePair(u=(Word([0, 1]),) * 3, v=("01",) * 3)
+
+    def test_copies_are_checked(self, builtin):
+        with pytest.raises(ValueError, match="V0 is not a Word"):
+            builtin._replace(v=("01",) * 3)
+        with pytest.raises(ValueError, match="k >= 2"):
+            TriplePair._make(((Word([0]),) * 3, (Word([1]),) * 3))
+        assert builtin._replace(u=builtin.u) == builtin
+
+    def test_wrap_skips_the_checks(self):
+        tp = TriplePair._wrap(("01",), ())
+        assert (type(tp), tp.u, tp.v) == (TriplePair, ("01",), ())
+
+    def test_attributes_cannot_be_assigned(self, builtin):
+        for field in ("u", "v", "k", "other"):
+            with pytest.raises(AttributeError):
+                setattr(builtin, field, None)
+
+    def test_equality_and_hash_are_those_of_the_words(self, builtin):
+        again = make_triple_pair([parse_word(t) for t in BUILTIN_DIGITS])
+        assert again == builtin and again is not builtin
+        assert hash(again) == hash(builtin) == hash((builtin.u, builtin.v))
+        assert swap_index(builtin, 0) != builtin
+        assert {builtin, again, tiny_pair()} == {builtin, tiny_pair()}
+        assert again in {builtin} and swap_index(builtin, 1) not in {builtin}
 
 
 class TestConcatenations:
@@ -494,9 +517,14 @@ class TestVerifyAgainstOracle:
             (cert.concat_results[0], "witness"),
             (cert.headtail_results[0], "collision"),
             (cert, "k"),
+            (cert, "concat_results"),
+            (cert, "shift_symmetric"),
         ):
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(obj, field, None)
+        with pytest.raises(AttributeError):
+            del cert.concat_results
+        assert cert.concat_results[0].witness is not None
         for tp in (tiny_pair(), builtin):  # failing and passing checks
             first, again = verify(tp), verify(tp)
             checks = zip(first.concat_results + first.headtail_results,

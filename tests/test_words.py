@@ -417,8 +417,12 @@ class TestBatchCount:
 
 
 class TestBudgetPreCheck:
-    """A count that Brinkhuis' bound a(n) >= 2^(n/24) shows to overrun its
-    budget fails before it walks."""
+    """A count that Brinkhuis' bound a(n) >= 2^(n/24), or the built-in
+    pair's a(18j) >= 2^j * a(j), shows to overrun its budget fails before
+    it walks."""
+
+    def test_the_small_counts_are_exact(self):
+        assert words._SMALL_COUNTS == ALL_COUNTS[:25]
 
     def test_the_bound_holds_for_every_pinned_count(self):
         pinned = dict(enumerate(ALL_COUNTS))
@@ -427,13 +431,20 @@ class TestBudgetPreCheck:
             assert count**24 >= 2**n, n
 
     def test_against_the_sum_in_40_digits(self):
-        # the float sum never exceeds the exact one, and misses it by less
-        # than a part in 10^8
+        # the larger of Brinkhuis' sum, in 40 digits, and the exact sum of
+        # 2^j * a(j) / 6 over the lengths 18j < n with j <= 24; the float
+        # sum never exceeds the exact one, and misses it by less than a
+        # part in 10^8
         with decimal.localcontext() as context:
             context.prec = 40
-            exact = decimal.Decimal(0)
+            brinkhuis = decimal.Decimal(0)
+            pair = 0
             for n in range(3, 700):
-                exact += decimal.Decimal(2) ** (decimal.Decimal(n - 1) / 24) / 6
+                brinkhuis += decimal.Decimal(2) ** (decimal.Decimal(n - 1) / 24) / 6
+                j, rest = divmod(n - 1, 18)
+                if rest == 0 and j <= 24:
+                    pair += 2**j * ALL_COUNTS[j] // 6
+                exact = max(brinkhuis, pair)
                 assert not words._overruns_surely(n, math.ceil(exact)), n
                 less = math.floor(exact * (1 - decimal.Decimal("1e-8")))
                 assert words._overruns_surely(n, less), n
@@ -442,14 +453,17 @@ class TestBudgetPreCheck:
         for n in range(3, len(ALL_COUNTS) + 1):
             assert not words._overruns_surely(n, walked(n)), n
         assert not words._overruns_surely(42, 452767)
-        assert not words._overruns_surely(100, 97)
+        assert not words._overruns_surely(100, 229)
 
     def test_fires_where_the_bound_passes_the_budget(self):
-        # sum of 2^(m/24) / 6 over m = 2 .. 99 is about 96.1
-        assert words._overruns_surely(100, 96)
+        # below a(100), the pair's bound puts 1 + 4 + 16 + 48 + 160 = 229
+        # prefixes at the lengths 18 .. 90, Brinkhuis' bound about 96.1
+        assert words._overruns_surely(100, 228)
         assert words._overruns_surely(3, 0)
-        assert not words._overruns_surely(497, words.DEFAULT_COUNT_BUDGET)
-        assert words._overruns_surely(498, words.DEFAULT_COUNT_BUDGET)
+        # from n = 289 the length 288 = 18 * 16 adds 2^16 * a(16) / 6 =
+        # 8716288 prefixes, and the pair's sum passes 10^7
+        assert not words._overruns_surely(288, words.DEFAULT_COUNT_BUDGET)
+        assert words._overruns_surely(289, words.DEFAULT_COUNT_BUDGET)
         assert words._overruns_surely(10**9, 10**30)
         assert not words._overruns_surely(10**9, 10**400)  # past floats, no error
 
@@ -459,6 +473,12 @@ class TestBudgetPreCheck:
             match=r"^node budget of 10000000 prefixes exhausted before a\(500\) was counted$",
         ):
             count_square_free(500, node_budget=words.DEFAULT_COUNT_BUDGET)
+        assert batches == []
+
+    def test_a_count_past_the_pair_bound_walks_nothing(self, batches):
+        # Brinkhuis' bound alone fires only from n = 498
+        with pytest.raises(CountBudgetError, match=r"before a\(400\) was counted$"):
+            count_square_free(400, node_budget=words.DEFAULT_COUNT_BUDGET)
         assert batches == []
 
 
