@@ -147,6 +147,8 @@ def _cmd_expand_verify(args) -> int:
         return _fail(str(exc))
     if args.n < 0:
         return _fail("n must be >= 0")
+    if args.budget < 0:
+        return _fail("budget must be >= 0")
     try:
         report = verify_expansion(tp, args.n, budget=args.budget)
     except ValueError:

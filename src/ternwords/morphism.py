@@ -140,7 +140,7 @@ def verify_expansion(tp: TriplePair, n: int, budget: int = DEFAULT_EXPANSION_BUD
     Reports the image count 2^n * a(n) and whether all images are
     square-free and pairwise distinct.  Raises ExpansionBudgetError before
     substituting when the image count exceeds the budget, and ValueError
-    when the pair itself fails verification.  Both flags true confirms the
+    for a negative n or budget, or when the pair itself fails verification.  Both flags true confirms the
     counting step a(n*k) >= 2^n * a(n) at this n: the images are then
     2^n * a(n) distinct square-free words of length n*k.
 
@@ -153,6 +153,8 @@ def verify_expansion(tp: TriplePair, n: int, budget: int = DEFAULT_EXPANSION_BUD
     """
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     _require_verified(tp)
     words = _square_free_words(n, budget)
     forward = ["".join(t) for t in itertools.product("UV", repeat=n)]

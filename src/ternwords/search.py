@@ -27,12 +27,14 @@ prefix, so tests can hold the cuts against verify.
 Each growing word is kept as its letters reversed in a byte string, and
 ``square_after`` from the words module tells whether a letter put in front
 would end a square, before the longer string is built.  Parallel runs
-shard the space by fixed-depth prefixes of the assignment sequence and
-merge shard results in lexicographic shard order, which keeps the emitted
-pair set independent of the shard count.  The pool never has more workers
+shard the space by fixed-depth prefixes of the assignment sequence, and
+record the shards' pairs in lexicographic shard order through one
+searcher's ``_record``, as one process would: that keeps the emitted pair
+set independent of the shard count.  The pool never has more workers
 than shards or CPUs.  A search with a node budget runs in one process.
 """
 
+import functools
 from collections import namedtuple
 from contextlib import closing
 
@@ -335,14 +337,9 @@ def _new_searcher(cfg: SearchConfig, **kw) -> _SearcherBase:
     return _FullSearcher(cfg, **kw)
 
 
-def _run_single(cfg: SearchConfig, prefix=()) -> SearchOutcome:
-    s = _new_searcher(cfg, prefix=prefix)
-    s.run()
+def _run(cfg: SearchConfig, prefix=()) -> SearchOutcome:
+    s = _new_searcher(cfg, prefix=prefix).run()
     return SearchOutcome(s.results, s.nodes, s.exhausted)
-
-
-def _shard_worker(task):
-    return _run_single(*task)
 
 
 def _shard_prefixes(cfg: SearchConfig):
@@ -382,38 +379,26 @@ def find_pairs(config: SearchConfig) -> SearchOutcome:
     depend on the shard count.
     """
     if config.parallel_shards == 1 or config.node_budget is not None:
-        return _run_single(config)
+        return _run(config)
 
     prefixes, setup_nodes = _shard_prefixes(config)
     if len(prefixes) <= 1:
-        out = _run_single(config)
+        out = _run(config)
         return out._replace(nodes_expanded=out.nodes_expanded + setup_nodes)
 
     from ._pool import pool_imap  # here, so that commands without a pool do not load it
 
-    results = []
-    seen = set()
-    nodes = setup_nodes
-    exhausted = True
-    truncated = False
-    tasks = [(config, p) for p in prefixes]
-    with closing(pool_imap(_shard_worker, tasks, config.parallel_shards)) as stream:
-        for pairs, shard_nodes, shard_exhausted in stream:
-            nodes += shard_nodes
-            if not shard_exhausted:
-                exhausted = False
-            for pair in pairs:
-                if config.canonical:
-                    if pair in seen:
-                        continue
-                    seen.add(pair)
-                results.append(pair)
-                limit = config.max_results
-                if limit is not None and len(results) >= limit:
-                    truncated = True
-                    break
-            if truncated:
-                break
-    if truncated:
-        exhausted = False
-    return SearchOutcome(pairs_found=results, nodes_expanded=nodes, exhausted=exhausted)
+    # the shards' pairs go through one searcher's _record, in shard order
+    merged = _new_searcher(config)
+    merged.nodes = setup_nodes
+    shards = pool_imap(functools.partial(_run, config), prefixes, config.parallel_shards)
+    with closing(shards) as stream:
+        try:
+            for pairs, shard_nodes, shard_exhausted in stream:
+                merged.nodes += shard_nodes
+                merged.exhausted &= shard_exhausted
+                for pair in pairs:
+                    merged._record(pair)
+        except _Stop:
+            merged.exhausted = False
+    return SearchOutcome(merged.results, merged.nodes, merged.exhausted)

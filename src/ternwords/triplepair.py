@@ -29,19 +29,16 @@ search builds a TriplePair with ``TriplePair._wrap`` and a Certificate at
 every leaf, and a namedtuple costs less to build than a frozen dataclass.
 
 The checks read the six words once as byte strings, and the concatenation
-check builds each word's shifts by 1 and 2 once.  Checks are frozen, so
-equal ones are one shared object: a concatenation's 24 checks, one per
-emission slot, come from a bounded cache keyed by the concatenation
-relabelled by the cyclic letter shift that makes its first letter 0, and
-are the shared passing checks or failing ones shared per witness.  A
+check builds each word's shifts by 1 and 2 once.  Each concatenation's
+witness comes from one bounded cache, keyed by the concatenation
+relabelled by the cyclic letter shift that makes its first letter 0.  A
 letter bijection maps every factor xx to a factor of the same start and
 period and back, so a word and its shifts have the same witness (smallest
 start, then smallest period), and one cache entry serves all three.  The
 pair search verifies many leaves that share U0 and all of whose other
 words are shifts of U0 and V0, so most lookups hit.  The head/tail check
-tests each length r with one set of the 12 factors, looks for the first
-colliding pair only when two coincide, and shares its checks per
-(r, collision).
+tests each length r with one set of the 12 factors, and looks for the
+first colliding pair only when two coincide.
 """
 
 import functools
@@ -157,21 +154,19 @@ class HeadTailCheck(namedtuple("HeadTailCheck", "r collision")):
 
 
 # The 24 concatenations in emission order: the file-order slots (U0, V0,
-# U1, V1, U2, V2 are 0..5) of the two halves, and the shared passing checks.
+# U1, V1, U2, V2 are 0..5) of the two halves, and their labels.
 _CONCAT_PLAN = tuple(
     (2 * i + (x == "V"), 2 * j + (y == "V"))
     for i, j in CONCAT_INDEX_PAIRS
     for x, y in CONCAT_CHOICES
 )
-_PASSING_CONCATS = tuple(
-    ConcatCheck(f"{i}{x}{j}{y}", None) for i, j in CONCAT_INDEX_PAIRS for x, y in CONCAT_CHOICES
-)
+_CONCAT_LABELS = tuple(f"{i}{x}{j}{y}" for i, j in CONCAT_INDEX_PAIRS for x, y in CONCAT_CHOICES)
 
 
 def concatenation_words(tp: TriplePair) -> list:
     """The 24 labelled length-2k concatenations, in the fixed emission order."""
     words = tp.words_in_file_order()
-    return [(c.label, words[a] + words[b]) for (a, b), c in zip(_CONCAT_PLAN, _PASSING_CONCATS)]
+    return [(label, words[a] + words[b]) for (a, b), label in zip(_CONCAT_PLAN, _CONCAT_LABELS)]
 
 
 def _letter_bytes(tp: TriplePair) -> tuple:
@@ -180,25 +175,18 @@ def _letter_bytes(tp: TriplePair) -> tuple:
     return (u0._bytes, v0._bytes, u1._bytes, v1._bytes, u2._bytes, v2._bytes)
 
 
-@functools.lru_cache(maxsize=1024)
-def _failing_concats(witness: SquareWitness) -> tuple:
-    return tuple(ConcatCheck(c.label, witness) for c in _PASSING_CONCATS)
-
-
 @functools.lru_cache(maxsize=4096)
-def _concat_witness_checks(letters: bytes) -> tuple:
+def _concat_witness(letters: bytes) -> "SquareWitness | None":
     # letters starts with 0; the module docstring says why this key is enough.
-    witness = find_square(Word._wrap(letters))
-    return _PASSING_CONCATS if witness is None else _failing_concats(witness)
+    return find_square(Word._wrap(letters))
 
 
-def _concat_checks(ws: tuple):
-    """Yield the 24 concatenation checks of the six words, in emission order."""
+def _concat_witnesses(ws: tuple):
+    """Yield the 24 concatenations' witnesses, in emission order."""
     shifted = [(w, w.translate(SHIFT_TABLES[1]), w.translate(SHIFT_TABLES[2])) for w in ws]
     cs = [-w[0] % 3 for w in ws]  # the shift that makes each word start with 0
-    checks = _concat_witness_checks
-    for i, (a, b) in enumerate(_CONCAT_PLAN):
-        yield checks(shifted[a][cs[a]] + shifted[b][cs[a]])[i]
+    for a, b in _CONCAT_PLAN:
+        yield _concat_witness(shifted[a][cs[a]] + shifted[b][cs[a]])
 
 
 def head_tail_range(k: int) -> range:
@@ -225,31 +213,16 @@ def _factors(ws: tuple, k: int, r: int) -> tuple:
     )
 
 
-@functools.lru_cache(maxsize=4096)
-def _headtail_check(r: int, a=None, b=None) -> HeadTailCheck:
-    # a, b: the first colliding pair's indices in HEADTAIL_LABELS, if any
-    return HeadTailCheck(r, None if a is None else (HEADTAIL_LABELS[a], HEADTAIL_LABELS[b]))
-
-
 def _headtail_checks(ws: tuple, k: int):
     """Yield the head/tail check of each r in range, in increasing r."""
     for r in head_tail_range(k):
         items = _factors(ws, k, r)
+        collision = None
         if len(set(items)) < 12:
             # the smallest a with a later equal item, then the smallest such b
             a = next(a for a in range(11) if items[a] in items[a + 1 :])
-            yield _headtail_check(r, a, items.index(items[a], a + 1))
-        else:
-            yield _headtail_check(r)
-
-
-def _heads_tails_distinct(ws: tuple, k: int) -> bool:
-    """Whether every r in range has 12 distinct factors: the verdict of
-    the head/tail checks, without naming a collision."""
-    for r in head_tail_range(k):
-        if len(set(_factors(ws, k, r))) < 12:
-            return False
-    return True
+            collision = HEADTAIL_LABELS[a], HEADTAIL_LABELS[items.index(items[a], a + 1)]
+        yield HeadTailCheck(r, collision)
 
 
 class Certificate(namedtuple("Certificate", "k verdict letters")):
@@ -273,7 +246,7 @@ class Certificate(namedtuple("Certificate", "k verdict letters")):
 
     @functools.cached_property
     def concat_results(self) -> tuple:
-        return tuple(_concat_checks(self.letters))
+        return tuple(map(ConcatCheck, _CONCAT_LABELS, _concat_witnesses(self.letters)))
 
     @functools.cached_property
     def headtail_results(self) -> tuple:
@@ -300,7 +273,8 @@ def verify(tp: TriplePair) -> Certificate:
     is worked out when ``headtail_results`` is read."""
     ws = _letter_bytes(tp)
     k = len(ws[0])
-    ok = _heads_tails_distinct(ws, k) and all(c.ok for c in _concat_checks(ws))
+    distinct = all(len(set(_factors(ws, k, r))) == 12 for r in head_tail_range(k))
+    ok = distinct and all(w is None for w in _concat_witnesses(ws))
     return Certificate(k, ok, ws)
 
 

@@ -38,8 +38,9 @@ a newline.  Batches past ``_CAP`` lines are cut and walked depth first.
 Subtrees share nothing, so forked workers (the package's one pool, in
 ``_pool``) can count the subtrees below a fixed length, and one node
 budget, shared while they walk, counts the prefixes of all those batches.
-A count that a proven lower bound on a(m) shows to overrun its budget
-fails before it walks (``_overruns_surely``).
+A count that ``_least``, a lower bound on a(m) proven with the built-in
+18-pair, shows to overrun its budget fails before it walks
+(``_overruns_surely``).
 
 ``_find_square_scan`` is the plain (start, period) scan, kept only as the
 oracle the tests hold the pattern against.
@@ -348,32 +349,35 @@ class _Tally:
             self.limit += self.chunk
 
 
-# a(0) .. a(24), the counts the pre-check's second bound starts from.
+# a(0) .. a(24), the counts ``_least`` starts from.
 _SMALL_COUNTS = (
     1, 3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264, 342, 456,
     618, 798, 1044, 1392, 1830, 2388, 3180, 4146, 5418, 7032,
 )
 
 
-def _overruns_surely(n: int, budget: int) -> bool:
-    """True when a proven lower bound shows that the count of a(n), which
-    visits a(L)/6 prefixes of each length L = 2 .. n-1, visits more than
-    ``budget``.  Two bounds, either suffices:
+def _least(m: int) -> int:
+    """A proven lower bound on a(m): a(m) itself for m <= 24, else
+    2^(j-1) * _least(j+1) with j = m // 18.  The built-in 18-pair maps the
+    a(j+1) square-free words of length j+1, with 2^(j+1) choices each, to
+    distinct square-free images.  As 18j <= m, the first m letters of an
+    image hold j whole blocks, which name the word's first j letters and
+    choices, and a length-j word has at most two square-free one-letter
+    extensions, so at most four images share those blocks: their first m
+    letters are at least 2^(j-1) * a(j+1) square-free words of length m."""
+    if m <= 24:
+        return _SMALL_COUNTS[m]
+    j = m // 18
+    return 2 ** (j - 1) * _least(j + 1)
 
-    * Brinkhuis' a(L) >= 2^(L/24), summed over every L in closed form.  The
-      1e-9 taken off outweighs the float error; lengths past 24000 are left
-      out, so that the sum stays finite.
-    * The built-in 18-pair's a(18j) >= 2^j * a(j), summed exactly over the
-      lengths L = 18j with j <= 24, whose a(j) are in ``_SMALL_COUNTS``;
-      6 divides 2^j * a(j) for j >= 1.
-    """
-    r = 2 ** (1 / 24)
-    least = (r ** min(n, 24000) - r**2) / (r - 1) / 6
-    if least * (1 - 1e-9) > budget:
-        return True
+
+def _overruns_surely(n: int, budget: int) -> bool:
+    """True when ``_least`` shows that the count of a(n), which visits
+    a(m)/6 prefixes of each length m = 2 .. n-1, visits more than
+    ``budget``."""
     total = 0
-    for j in range(1, min((n - 1) // 18, 24) + 1):
-        total += 2**j * _SMALL_COUNTS[j] // 6
+    for m in range(2, n):
+        total += _least(m) // 6
         if total > budget:
             return True
     return False
@@ -468,9 +472,8 @@ def count_square_free(n: int, node_budget: "int | None" = None) -> int:
     subtree equal the one-process count, a(m)/6 summed over m = 2 .. n-1,
     and the count succeeds exactly when that total is at most
     ``node_budget``.  Otherwise CountBudgetError names the budget and n.
-    A count that a proven lower bound on a(m) already shows to overrun
-    (Brinkhuis' a(m) >= 2^(m/24), or the built-in pair's
-    a(18j) >= 2^j * a(j)) fails before it walks.  The workers share the
+    A count that the built-in pair's lower bound on a(m) (``_least``)
+    already shows to overrun fails before it walks.  The workers share the
     budget while they walk, so a parallel count that overruns stops within
     a few thousand prefixes per subtree of where one process would.
     """

@@ -341,6 +341,12 @@ class TestExpandVerify:
     def test_negative_n(self, capsys, pair_file):
         assert run(["expand-verify", pair_file, "--n", "-1"], capsys)[0] == 2
 
+    @pytest.mark.parametrize("n", ["0", "3"])
+    def test_negative_budget_is_usage_error(self, capsys, pair_file, n):
+        # as for count --nodes -1 and pair search --nodes -1
+        code, out, err = run(["expand-verify", pair_file, "--n", n, "--budget", "-1"], capsys)
+        assert (code, out, err) == (2, "", "error: budget must be >= 0\n")
+
     def test_huge_n_is_rejected_before_counting(self, pair_file):
         # a(60) alone would take hours to count; 2^60 already exceeds the budget
         proc = subprocess.run(

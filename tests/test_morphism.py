@@ -115,6 +115,10 @@ class TestVerifyExpansion:
         with pytest.raises(ValueError):
             verify_expansion(builtin, -1)
 
+    def test_negative_budget_rejected(self, builtin):
+        with pytest.raises(ValueError, match=r"^budget must be >= 0, got -1$"):
+            verify_expansion(builtin, 0, budget=-1)
+
     def test_budget_guard_raises_before_work(self, builtin):
         with pytest.raises(ExpansionBudgetError, match="exceeds budget"):
             verify_expansion(builtin, 3, budget=50)

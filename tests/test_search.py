@@ -1,10 +1,11 @@
 """Search: configuration, prune soundness, canonical forms, completeness."""
 
+import functools
 import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ternwords import (
@@ -24,6 +25,7 @@ from ternwords import (
 )
 from ternwords import search
 from ternwords.search import _new_searcher, _shard_prefixes
+from ternwords.words import _find_square_scan
 
 # The complete set of canonical shift-symmetric 18-pairs (U0, V0 digits),
 # pinned from the exhaustive run; test_exhaustive_set_matches re-derives it.
@@ -525,6 +527,55 @@ class TestCutLogAdmissibility:
                 full = seq + rest
                 tp = symmetric_pair(Word(full[:5]), Word(full[5:]))
                 assert not verify(tp).verdict, (seq, rest)
+
+
+@st.composite
+def relaxed_assignments(draw):
+    """k in 4..8 and an interleaved partial assignment of the relaxed
+    search: six square-free words of length k, each possibly overwritten
+    with the head of an earlier one (which can make squares), read in the
+    order U0 V0 U1 V1 U2 V2 position by position and cut at any length."""
+    k = draw(st.integers(4, 8))
+    pool = square_free_words(k)
+    rows = []
+    for _ in range(6):
+        row = list(draw(st.sampled_from(pool)))
+        if rows and draw(st.booleans()):
+            r = draw(st.integers(1, k))
+            row[:r] = draw(st.sampled_from(rows))[:r]
+        rows.append(row)
+    length = draw(st.integers(0, 6 * k))
+    return k, [rows[d % 6][d // 6] for d in range(length)]
+
+
+@functools.cache
+def square_free_words(k: int) -> list:
+    return [w.letters for w in enumerate_square_free(k)]
+
+
+def relaxed_keeps(k: int, seq: list) -> bool:
+    """The relaxed search's cuts, restated: no word's placed letters have a
+    square, and no two words' placed heads of one length r, with
+    ceil(k/2) <= r < k, coincide."""
+    placed = [seq[w::6] for w in range(6)]
+    if any(_find_square_scan(Word(p)) is not None for p in placed):
+        return False
+    for r in range((k + 1) // 2, k):
+        heads = [tuple(p[:r]) for p in placed if len(p) >= r]
+        if len(set(heads)) < len(heads):
+            return False
+    return True
+
+
+class TestRelaxedCutAudit:
+    """prune_check on the relaxed searcher against the restated cuts."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(relaxed_assignments())
+    def test_interleaved_partial_assignments(self, case):
+        k, seq = case
+        cfg = SearchConfig(k=k, shift_symmetry=False)
+        assert prune_check(cfg, seq) is relaxed_keeps(k, seq)
 
 
 class TestPalindromicRegime:

@@ -1,6 +1,6 @@
 """Word layer: parsing, the square pattern against its oracle, counting, enumeration."""
 
-import decimal
+import bisect
 import itertools
 import math
 import os
@@ -417,9 +417,8 @@ class TestBatchCount:
 
 
 class TestBudgetPreCheck:
-    """A count that Brinkhuis' bound a(n) >= 2^(n/24), or the built-in
-    pair's a(18j) >= 2^j * a(j), shows to overrun its budget fails before
-    it walks."""
+    """A count that the built-in pair's lower bound on a(m) (``_least``)
+    shows to overrun its budget fails before it walks."""
 
     def test_the_small_counts_are_exact(self):
         assert words._SMALL_COUNTS == ALL_COUNTS[:25]
@@ -427,45 +426,64 @@ class TestBudgetPreCheck:
     def test_the_bound_holds_for_every_pinned_count(self):
         pinned = dict(enumerate(ALL_COUNTS))
         pinned.update({38: 285750, 42: 821154, 45: 1812876, 53: 14956584})
-        for n, count in pinned.items():
-            assert count**24 >= 2**n, n
+        for m, count in pinned.items():
+            assert words._least(m) <= count, m
 
-    def test_against_the_sum_in_40_digits(self):
-        # the larger of Brinkhuis' sum, in 40 digits, and the exact sum of
-        # 2^j * a(j) / 6 over the lengths 18j < n with j <= 24; the float
-        # sum never exceeds the exact one, and misses it by less than a
-        # part in 10^8
-        with decimal.localcontext() as context:
-            context.prec = 40
-            brinkhuis = decimal.Decimal(0)
-            pair = 0
-            for n in range(3, 700):
-                brinkhuis += decimal.Decimal(2) ** (decimal.Decimal(n - 1) / 24) / 6
-                j, rest = divmod(n - 1, 18)
-                if rest == 0 and j <= 24:
-                    pair += 2**j * ALL_COUNTS[j] // 6
-                exact = max(brinkhuis, pair)
-                assert not words._overruns_surely(n, math.ceil(exact)), n
-                less = math.floor(exact * (1 - decimal.Decimal("1e-8")))
-                assert words._overruns_surely(n, less), n
+    def test_against_the_exact_sum(self):
+        # the bound restated: a(m) for m <= 24, else 2^(j-1) * least(j+1)
+        # with j = m // 18; the pre-check fires exactly past the sum of
+        # least(m) / 6 over m = 2 .. n-1
+        def least(m):
+            return ALL_COUNTS[m] if m <= 24 else 2 ** (m // 18 - 1) * least(m // 18 + 1)
+
+        total = 0
+        for n in range(3, 700):
+            total += least(n - 1) // 6
+            assert not words._overruns_surely(n, total), n
+            assert words._overruns_surely(n, total - 1), n
 
     def test_never_fires_on_a_budget_that_fits(self):
         for n in range(3, len(ALL_COUNTS) + 1):
             assert not words._overruns_surely(n, walked(n)), n
         assert not words._overruns_surely(42, 452767)
-        assert not words._overruns_surely(100, 229)
+        assert not words._overruns_surely(100, 7074)
 
     def test_fires_where_the_bound_passes_the_budget(self):
-        # below a(100), the pair's bound puts 1 + 4 + 16 + 48 + 160 = 229
-        # prefixes at the lengths 18 .. 90, Brinkhuis' bound about 96.1
-        assert words._overruns_surely(100, 228)
+        # up to a(25) the bound is a(m) itself, so the pre-check fires
+        # exactly when the walk would overrun (1241 prefixes at n = 20)
+        assert walked(20) == 1241
+        for n in range(3, 26):
+            assert words._overruns_surely(n, walked(n) - 1), n
+        # below a(100) the bound puts walked(25) = 4935 prefixes at the
+        # lengths up to 24, then 1, 4, 12, 40 and 112 at each length of
+        # 25 .. 35, 36 .. 53, 54 .. 71, 72 .. 89 and 90 .. 99: 7074 in all
+        assert words._overruns_surely(100, 7073)
         assert words._overruns_surely(3, 0)
-        # from n = 289 the length 288 = 18 * 16 adds 2^16 * a(16) / 6 =
-        # 8716288 prefixes, and the pair's sum passes 10^7
-        assert not words._overruns_surely(288, words.DEFAULT_COUNT_BUDGET)
-        assert words._overruns_surely(289, words.DEFAULT_COUNT_BUDGET)
+        # from n = 254 the length 253 adds 2^13 * a(15) / 6 = 843776
+        # prefixes to 9853474, and the sum passes 10^7
+        assert not words._overruns_surely(253, words.DEFAULT_COUNT_BUDGET)
+        assert words._overruns_surely(254, words.DEFAULT_COUNT_BUDGET)
         assert words._overruns_surely(10**9, 10**30)
-        assert not words._overruns_surely(10**9, 10**400)  # past floats, no error
+        assert words._overruns_surely(10**9, 10**400)  # exact integers, no cap
+
+    def test_reaches_as_far_as_the_two_older_bounds(self):
+        # the pre-check once took Brinkhuis' a(m) >= 2^(m/24), summed in
+        # floats up to m = 24000, or the pair's a(18j) >= 2^j * a(j) for
+        # j <= 24; both grow with n, so each budget's first firing n is
+        # the edge of a firing range, found by bisection, and the sum the
+        # pre-check takes grows with n too, so it must fire at that edge
+        def older(n, budget):
+            r = 2 ** (1 / 24)
+            if (r ** min(n, 24000) - r**2) / (r - 1) / 6 * (1 - 1e-9) > budget:
+                return True
+            lengths = range(1, min((n - 1) // 18, 24) + 1)
+            return sum(2**j * ALL_COUNTS[j] // 6 for j in lengths) > budget
+
+        for budget in (c * 10**e for e in range(40) for c in (1, 2, 5)):
+            ns = range(3, 4000)
+            edge = bisect.bisect_left(ns, True, key=lambda n: older(n, budget))
+            assert edge < len(ns), budget
+            assert words._overruns_surely(ns[edge], budget), budget
 
     def test_a_hopeless_count_walks_nothing(self, batches):
         with pytest.raises(
@@ -476,7 +494,8 @@ class TestBudgetPreCheck:
         assert batches == []
 
     def test_a_count_past_the_pair_bound_walks_nothing(self, batches):
-        # Brinkhuis' bound alone fires only from n = 498
+        # at 10^7 the bound fires from n = 254 on; Brinkhuis'
+        # a(m) >= 2^(m/24) alone would not rule a(400) out
         with pytest.raises(CountBudgetError, match=r"before a\(400\) was counted$"):
             count_square_free(400, node_budget=words.DEFAULT_COUNT_BUDGET)
         assert batches == []
