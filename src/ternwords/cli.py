@@ -7,14 +7,17 @@ Exit codes, shared by every command:
   2  usage or parse errors
   3  budget exhausted without a result
 
+``main`` alone turns library errors into exit codes: ``error: <message>``
+on stderr, then 2 for a ``ValueError`` (bad input, or a pair file that
+cannot be read) and 3 for ``CountBudgetError`` or ``ExpansionBudgetError``.
+``expand-verify`` exits 1 on ``UnverifiedPairError``, a failing verdict.
 Successful runs write nothing to the error stream.
 """
 
 import argparse
 import sys
 
-from .words import CountBudgetError, ParseError, count_square_free, find_square, parse_word
-from .words import DEFAULT_COUNT_BUDGET
+from .words import DEFAULT_COUNT_BUDGET, CountBudgetError, count_square_free, find_square, parse_word
 from .triplepair import (
     _bool_text,
     builtin_pair,
@@ -27,6 +30,7 @@ from .triplepair import (
 from .morphism import (
     DEFAULT_EXPANSION_BUDGET,
     ExpansionBudgetError,
+    UnverifiedPairError,
     lower_bound,
     substitute,
     verify_expansion,
@@ -39,37 +43,23 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _load_pair(path: str):
-    if path == "-":
-        return parse_pair_text(sys.stdin.read())
-    return read_pair_file(path)
+    """The pair in the file ``path``, or on stdin for '-'; unreadable input is a usage error."""
+    try:
+        if path == "-":
+            return parse_pair_text(sys.stdin.read())
+        return read_pair_file(path)
+    except OSError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _cmd_count(args) -> int:
-    if args.n < 0:
-        return _fail("n must be >= 0")
-    try:
-        total = count_square_free(args.n, node_budget=args.nodes)
-    except ValueError as exc:
-        return _fail(str(exc))
-    except CountBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    print(total)
+    print(count_square_free(args.n, node_budget=args.nodes))
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    try:
-        w = parse_word(args.word)
-    except ParseError as exc:
-        return _fail(str(exc))
-    witness = find_square(w)
+    witness = find_square(parse_word(args.word))
     if witness is None:
         print("SQUAREFREE")
         return EXIT_OK
@@ -78,19 +68,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    if args.k < 2:
-        return _fail("k must be >= 2")
     report = lower_bound(args.k)
     print(f"2^(1/{report.exponent_denominator}) = {report.mu_lower_bound:.10g}")
     return EXIT_OK
 
 
 def _cmd_pair_verify(args) -> int:
-    try:
-        tp = _load_pair(args.path)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    cert = verify(tp)
+    cert = verify(_load_pair(args.path))
     sys.stdout.write(certificate_text(cert))
     return EXIT_OK if cert.verdict else EXIT_FAIL
 
@@ -101,21 +85,16 @@ def _cmd_pair_show_builtin(_args) -> int:
 
 
 def _cmd_pair_search(args) -> int:
-    first = None if args.first_letter == "none" else int(args.first_letter)
-    try:
-        config = SearchConfig(
-            k=args.k,
-            shift_symmetry=not args.no_shift,
-            palindrome_constraint=args.palindrome,
-            first_letter=first,
-            max_results=args.limit,
-            node_budget=args.nodes,
-            parallel_shards=args.shards,
-            canonical=not args.raw,
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
-    outcome = find_pairs(config)
+    outcome = find_pairs(SearchConfig(
+        k=args.k,
+        shift_symmetry=not args.no_shift,
+        palindrome_constraint=args.palindrome,
+        first_letter=None if args.first_letter == "none" else int(args.first_letter),
+        max_results=args.limit,
+        node_budget=args.nodes,
+        parallel_shards=args.shards,
+        canonical=not args.raw,
+    ))
     for idx, pair in enumerate(outcome.pairs_found, start=1):
         sys.stdout.write(f"# pair {idx}\n")
         sys.stdout.write(pair_text(pair))
@@ -130,33 +109,18 @@ def _cmd_pair_search(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    try:
-        tp = _load_pair(args.path)
-        word = parse_word(args.word)
-        image = substitute(tp, word, args.choices)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    print(image)
+    tp = _load_pair(args.path)
+    print(substitute(tp, parse_word(args.word), args.choices))
     return EXIT_OK
 
 
 def _cmd_expand_verify(args) -> int:
-    try:
-        tp = _load_pair(args.path)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    if args.n < 0:
-        return _fail("n must be >= 0")
-    if args.budget < 0:
-        return _fail("budget must be >= 0")
+    tp = _load_pair(args.path)
     try:
         report = verify_expansion(tp, args.n, budget=args.budget)
-    except ValueError:
+    except UnverifiedPairError:
         print("error: pair fails verification", file=sys.stderr)
         return EXIT_FAIL
-    except ExpansionBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     print(
         f"total={report.total} "
         f"squarefree={_bool_text(report.all_square_free)} "
@@ -231,12 +195,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return EXIT_OK
-        return code if isinstance(code, int) else EXIT_USAGE
-    return args.func(args)
+    except SystemExit as exc:  # argparse exits 0 for --help, 2 for bad usage
+        return exc.code
+    try:
+        return args.func(args)
+    except (ValueError, CountBudgetError, ExpansionBudgetError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_BUDGET
 
 
 if __name__ == "__main__":

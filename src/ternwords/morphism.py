@@ -43,6 +43,7 @@ __all__ = [
     "ExpansionBudgetError",
     "BoundReport",
     "ExpansionReport",
+    "UnverifiedPairError",
     "lower_bound",
     "parse_choices",
     "substitute",
@@ -54,6 +55,10 @@ DEFAULT_EXPANSION_BUDGET = 10_000_000
 
 class ExpansionBudgetError(RuntimeError):
     """An expansion run would enumerate more images than the budget allows."""
+
+
+class UnverifiedPairError(ValueError):
+    """The triple-pair fails ``verify``, so its images promise nothing."""
 
 
 BoundReport = namedtuple("BoundReport", "k exponent_denominator mu_lower_bound")
@@ -100,7 +105,7 @@ square, with ``find_square``'s witness in that image."""
 
 def _require_verified(tp: TriplePair):
     if not verify(tp).verdict:
-        raise ValueError("triple-pair fails verification; expansion guarantees need a passing pair")
+        raise UnverifiedPairError("triple-pair fails verification; expansion needs a passing pair")
 
 
 def _square_free_words(n: int, budget: int) -> list:
@@ -139,8 +144,9 @@ def verify_expansion(tp: TriplePair, n: int, budget: int = DEFAULT_EXPANSION_BUD
 
     Reports the image count 2^n * a(n) and whether all images are
     square-free and pairwise distinct.  Raises ExpansionBudgetError before
-    substituting when the image count exceeds the budget, and ValueError
-    for a negative n or budget, or when the pair itself fails verification.  Both flags true confirms the
+    substituting when the image count exceeds the budget, ValueError for a
+    negative n or budget, and UnverifiedPairError, a ValueError, when the
+    pair itself fails verification.  Both flags true confirms the
     counting step a(n*k) >= 2^n * a(n) at this n: the images are then
     2^n * a(n) distinct square-free words of length n*k.
 

@@ -19,7 +19,7 @@ passes both, yet the image of 010 with choices UUU has a square of period
 each r and then the 24 concatenations, and stops at the first check that
 fails.  For the verdict, the head/tail condition at r needs only the size
 of the set of 12 factors.  The Certificate it returns builds its tuples of
-every individual check, from the same check code, when they are first
+every individual check, from the same check code, each time they are
 read.  ``certificate_text`` renders it in a fixed line-oriented format
 suitable for golden-file comparison.
 
@@ -231,35 +231,30 @@ class Certificate(namedtuple("Certificate", "k verdict letters")):
     The verdict is the conjunction of every individual check; ``verify``
     works it out first and stops at the first failing check.  ``letters``
     holds the six words' letters as byte strings, in file order.  The check
-    tuples ``concat_results`` and ``headtail_results`` are built by the same
-    check code, run again in full, the first time each is read; so are the
-    shift_symmetric and palindromic_base flags, which are informational.
-    A certificate is immutable: its fields and those cached values cannot
-    be assigned or deleted.
+    tuples ``concat_results`` and ``headtail_results``, and the informational
+    shift_symmetric and palindromic_base flags, are properties that run the
+    same check code again in full each time they are read.  A certificate
+    has no per-instance dict, so nothing on it can be assigned or deleted.
     """
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: a Certificate is immutable")
+    __slots__ = ()
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: a Certificate is immutable")
-
-    @functools.cached_property
+    @property
     def concat_results(self) -> tuple:
         return tuple(map(ConcatCheck, _CONCAT_LABELS, _concat_witnesses(self.letters)))
 
-    @functools.cached_property
+    @property
     def headtail_results(self) -> tuple:
         return tuple(_headtail_checks(self.letters, self.k))
 
-    @functools.cached_property
+    @property
     def shift_symmetric(self) -> bool:
         """Whether U1, V1, U2, V2 are U0 and V0 shifted letterwise by 1 and 2."""
         u0, v0 = self.letters[:2]
         shifts = tuple(w.translate(SHIFT_TABLES[d]) for d in (1, 2) for w in (u0, v0))
         return self.letters[2:] == shifts
 
-    @functools.cached_property
+    @property
     def palindromic_base(self) -> bool:
         """Whether U0 and V0 are palindromes."""
         u0, v0 = self.letters[:2]

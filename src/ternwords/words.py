@@ -374,12 +374,15 @@ def _least(m: int) -> int:
 def _overruns_surely(n: int, budget: int) -> bool:
     """True when ``_least`` shows that the count of a(n), which visits
     a(m)/6 prefixes of each length m = 2 .. n-1, visits more than
-    ``budget``."""
-    total = 0
-    for m in range(2, n):
-        total += _least(m) // 6
+    ``budget``.  Past m = 24, ``_least(m)`` depends on m // 18 only, so each
+    run of lengths with one m // 18 adds its equal terms in one product."""
+    total, m = 0, 2
+    while m < n:
+        end = min(n, m + 1 if m <= 24 else m - m % 18 + 18)
+        total += (end - m) * (_least(m) // 6)
         if total > budget:
             return True
+        m = end
     return False
 
 

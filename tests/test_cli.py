@@ -345,7 +345,17 @@ class TestExpandVerify:
     def test_negative_budget_is_usage_error(self, capsys, pair_file, n):
         # as for count --nodes -1 and pair search --nodes -1
         code, out, err = run(["expand-verify", pair_file, "--n", n, "--budget", "-1"], capsys)
-        assert (code, out, err) == (2, "", "error: budget must be >= 0\n")
+        assert (code, out, err) == (2, "", "error: budget must be >= 0, got -1\n")
+
+    def test_other_value_errors_are_usage_errors(self, capsys, monkeypatch, pair_file):
+        # only a failing pair is a verdict (exit 1); any other ValueError
+        # from inside verify_expansion is a usage error with its own text
+        def broken(n, budget):
+            raise ValueError("no words today")
+
+        monkeypatch.setattr(ternwords.morphism, "_square_free_words", broken)
+        code, out, err = run(["expand-verify", pair_file, "--n", "2"], capsys)
+        assert (code, out, err) == (2, "", "error: no words today\n")
 
     def test_huge_n_is_rejected_before_counting(self, pair_file):
         # a(60) alone would take hours to count; 2^60 already exceeds the budget
@@ -359,6 +369,74 @@ class TestExpandVerify:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert "exceeds budget" in proc.stderr
+
+
+class TestExitCodeMap:
+    """``main`` maps every library error to one exit code and one stderr
+    line.  ``pair show-builtin`` reads no input and has no budget."""
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["count", "-1"], "length must be >= 0, got -1"),
+            (["count", "6", "--nodes", "-1"], "node budget must be >= 0, got -1"),
+            (["check", "03"], "invalid character '3' at position 1"),
+            (["bound", "1"], "k must be >= 2, got 1"),
+            (["pair", "verify", "{bad}"], "expected 6 words, found 2"),
+            (["pair", "verify", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
+            (["pair", "search", "--k", "1"], "k must be >= 2, got 1"),
+            (["pair", "search", "--k", "18", "--nodes", "-1"], "node_budget must be >= 0 or None"),
+            (["expand", "{pair}", "--word", "01", "--choices", "U"],
+             "choice string length 1 does not match word length 2"),
+            (["expand", "{pair}", "--word", "0a", "--choices", "UU"],
+             "invalid character 'a' at position 1"),
+            (["expand-verify", "{pair}", "--n", "-1"], "length must be >= 0, got -1"),
+        ],
+    )
+    def test_malformed_input_exits_two(self, capsys, tmp_path, pair_file, argv, err):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("01\n02\n")
+        paths = {"pair": pair_file, "bad": str(bad), "missing": str(tmp_path / "nope.txt")}
+        argv = [a.format(**paths) for a in argv]
+        assert run(argv, capsys) == (2, "", f"error: {err.format(**paths)}\n")
+
+    @pytest.mark.parametrize(
+        "argv,out,err",
+        [
+            (["count", "30", "--nodes", "10"], "",
+             "error: node budget of 10 prefixes exhausted before a(30) was counted\n"),
+            # a search reports how far it got on stdout, and no error
+            (["pair", "search", "--k", "18", "--nodes", "100"],
+             "nodes=100 found=0 exhausted=false\n", ""),
+            (["expand-verify", "{pair}", "--n", "3", "--budget", "10"], "",
+             "error: 2^n * a(n) >= 16 exceeds budget 10\n"),
+        ],
+    )
+    def test_budget_overrun_exits_three(self, capsys, pair_file, argv, out, err):
+        argv = [a.format(pair=pair_file) for a in argv]
+        assert run(argv, capsys) == (3, out, err)
+
+    def test_a_closed_stdout_is_not_a_usage_error(self):
+        # the search writes after its reader is gone: the write fails with
+        # BrokenPipeError, which ends in a traceback and exit 1, not in an
+        # "error:" line and exit 2
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ternwords", "pair", "search", "--k", "25",
+                 "--first-letter", "none"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=_child_env(),
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "BrokenPipeError" in proc.stderr
+        assert not any(line.startswith("error:") for line in proc.stderr.splitlines())
 
 
 def _child_env():

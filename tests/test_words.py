@@ -442,6 +442,21 @@ class TestBudgetPreCheck:
             assert not words._overruns_surely(n, total), n
             assert words._overruns_surely(n, total - 1), n
 
+    @pytest.mark.parametrize("n,fires", [(10**5, False), (10**9, True)])
+    def test_a_huge_budget_is_summed_a_run_at_a_time(self, monkeypatch, n, fires):
+        # past m = 24, _least(m) depends on m // 18 only, so the sum calls
+        # it once per run of 18 lengths, not once per length; below
+        # m = 10^6 each such call nests at most 4 more
+        calls = []
+        least = words._least
+        monkeypatch.setattr(words, "_least", lambda m: calls.append(m) or least(m))
+        budget = 10**4000
+        assert words._overruns_surely(n, budget) is fires
+        # the run with m // 18 = j adds at least 2^(j-1) // 6 > budget once
+        # 2^(j-1) > 6 * budget, so the sum stops by that run
+        runs = min(n // 18, (6 * budget).bit_length() + 1)
+        assert len(calls) <= 5 * (23 + runs)
+
     def test_never_fires_on_a_budget_that_fits(self):
         for n in range(3, len(ALL_COUNTS) + 1):
             assert not words._overruns_surely(n, walked(n)), n
