@@ -51,6 +51,8 @@ def _load_pair(path: str):
         return read_pair_file(path)
     except OSError as exc:
         raise ValueError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path!r} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _cmd_count(args) -> int:

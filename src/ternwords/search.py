@@ -1,13 +1,18 @@
 """Backtracking search for k-Brinkhuis triple-pairs.
 
-Shift-symmetric mode (the default) assigns the letters of U0, then the
-letters of V0, in lexicographic order, and derives U1, U2, V1, V2 as the
-letterwise shifts of U0 and V0 by 1 and 2.  The relaxed mode assigns all
-six words interleaved position by position, in the order U0, V0, U1, V1,
-U2, V2.
+Shift-symmetric mode (the default) assigns the letters of U0, then of V0,
+and derives U1, U2, V1, V2 as their letterwise shifts by 1 and 2.  The
+relaxed mode assigns all six words interleaved position by position, in
+the order U0, V0, U1, V1, U2, V2.  Both modes run one backtracking loop,
+which tries the candidate letters, counts nodes against the budget and
+gives each full assignment one ``verify`` call of the triplepair module
+(most fail, and verify stops at its first failing check); only pairs
+whose certificate passes are emitted.  Each mode supplies just its
+placement, which applies its cuts, and the six words of a full assignment.
 
 Cuts applied while a candidate grows (each is sound: a cut implies no
-completion can satisfy the definition):
+completion can satisfy the definition); ``prune_check`` runs a searcher on
+a fixed prefix, so tests can hold these cuts against verify:
 
 * a prefix of any constituent word ends with a square;
 * two prefixes of length r >= ceil(k/2) that the distinctness condition
@@ -17,13 +22,6 @@ completion can satisfy the definition):
   U0 . shift(V0-prefix, d), or the completed U0 fails its own
   concatenation and head/tail conditions.
 
-Each complete assignment gets one certificate check, a ``verify`` call of
-the triplepair module on words read off the reversed buffers; most fail,
-and verify's stop at the first failing check keeps that cheap.  Only pairs
-whose certificate passes are emitted.  Each cut exists once, in the
-searcher that applies it: ``prune_check`` runs that searcher on a fixed
-prefix, so tests can hold the cuts against verify.
-
 Each growing word is kept as its letters reversed in a byte string, and
 ``square_after`` from the words module tells whether a letter put in front
 would end a square, before the longer string is built.  Parallel runs
@@ -31,7 +29,7 @@ shard the space by fixed-depth prefixes of the assignment sequence, and
 record the shards' pairs in lexicographic shard order through one
 searcher's ``_record``, as one process would: that keeps the emitted pair
 set independent of the shard count.  The pool never has more workers
-than shards or CPUs.  A search with a node budget runs in one process.
+than shards or CPUs.
 """
 
 import functools
@@ -66,15 +64,15 @@ class SearchConfig(
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if self.palindrome_constraint and not self.shift_symmetry:
-            raise ValueError("palindrome_constraint requires shift_symmetry")
+            raise ValueError("the palindrome restriction needs the shift symmetry")
         if self.first_letter not in (None, 0, 1, 2):
-            raise ValueError(f"first_letter must be None, 0, 1 or 2, got {self.first_letter!r}")
+            raise ValueError(f"first letter must be 0, 1 or 2, got {self.first_letter!r}")
         if self.max_results is not None and self.max_results < 1:
-            raise ValueError("max_results must be >= 1 or None")
+            raise ValueError(f"result limit must be >= 1, got {self.max_results}")
         if self.node_budget is not None and self.node_budget < 0:
-            raise ValueError("node_budget must be >= 0 or None")
+            raise ValueError(f"node budget must be >= 0, got {self.node_budget}")
         if self.parallel_shards < 1:
-            raise ValueError("parallel_shards must be >= 1")
+            raise ValueError(f"shard count must be >= 1, got {self.parallel_shards}")
         return self
 
     @classmethod
@@ -122,12 +120,12 @@ def prune_check(config: SearchConfig, letters) -> bool:
     for pos, a in enumerate(seq):
         if not isinstance(a, int) or a not in (0, 1, 2):
             raise ValueError(f"invalid letter {a!r} at position {pos}")
-    if len(seq) > (2 if config.shift_symmetry else 6) * config.k:
-        raise ValueError("assignment longer than the search space")
     kept = []
-    _new_searcher(
-        config._replace(node_budget=None), prefix=seq, stop_depth=len(seq), collector=kept.append
-    ).run()
+    cfg = config._replace(node_budget=None)
+    searcher = _new_searcher(cfg, prefix=seq, stop_depth=len(seq), collector=kept.append)
+    if len(seq) > searcher.depth:
+        raise ValueError("assignment longer than the search space")
+    searcher.run()
     return bool(kept)
 
 
@@ -136,6 +134,11 @@ class _Stop(Exception):
 
 
 class _SearcherBase:
+    """The backtracking loop both modes share.  A mode sets ``depth``, the
+    length of a full assignment, and ``state``, the immutable data its cuts
+    read; ``_place(depth, x)`` returns the state after placing letter x, or
+    None to cut, and ``_words()`` the six words in file order."""
+
     def __init__(self, cfg: SearchConfig, prefix=(), stop_depth=None, collector=None):
         self.cfg = cfg
         self.k = cfg.k
@@ -149,18 +152,44 @@ class _SearcherBase:
         self._seen = set()
         self.exhausted = True
 
-    def run(self):
+    def run(self) -> SearchOutcome:
         try:
             self._extend(0)
         except _Stop:
             self.exhausted = False
-        return self
+        return SearchOutcome(self.results, self.nodes, self.exhausted)
 
-    def _attempt(self):
+    def _candidates(self, depth: int):
+        if depth < len(self.prefix):
+            return (self.prefix[depth],)
+        if depth == 0 and self.cfg.first_letter is not None:
+            return (self.cfg.first_letter,)
+        return (0, 1, 2)
+
+    def _extend(self, depth: int):
+        if depth == self.stop_depth:
+            self.collector(tuple(self.seq))
+            return
+        if depth == self.depth:
+            words = self._words()
+            pair = TriplePair._wrap(tuple(words[0::2]), tuple(words[1::2]))
+            if verify(pair).verdict:
+                self._record(pair)
+            return
+        cands = self._candidates(depth)
+        saved = self.state  # read after _candidates, which may start a phase
         budget = self.cfg.node_budget
-        if budget is not None and self.nodes >= budget:
-            raise _Stop
-        self.nodes += 1
+        for x in cands:
+            if budget is not None and self.nodes >= budget:
+                raise _Stop
+            self.nodes += 1
+            state = self._place(depth, x)
+            if state is not None:
+                self.state = state
+                self.seq.append(x)
+                self._extend(depth + 1)
+                self.seq.pop()
+                self.state = saved
 
     def _record(self, pair: TriplePair):
         if self.cfg.canonical:
@@ -183,54 +212,25 @@ class _ShiftSearcher(_SearcherBase):
     24 concatenations collapse to the eight words X . shift(Y, d) for
     X, Y in {U0, V0} and d in {1, 2}, and head/tail collisions collapse to
     comparisons against the three shifts of U0's and V0's heads and tails.
+    The state is U0's reversed letters while U0 grows, then the reversed
+    letters of V0 and of U0 . shift(V0, d) for d = 1, 2.
     """
 
     def __init__(self, cfg, **kw):
         super().__init__(cfg, **kw)
-        # reversed letters of U0, V0 and U0 . shift(V0, d) for d = 1, 2
-        self.ru = self.rv = self.rb1 = self.rb2 = b""
-        self.forbid = {}
+        self.depth = 2 * cfg.k
+        self.state = b""
 
     def _candidates(self, depth: int):
         k = self.k
-        cfg = self.cfg
-        if depth == 0 and cfg.first_letter is not None:
-            return (cfg.first_letter,)
-        start = 0 if depth < k else k  # where the current word starts in seq
-        pos = depth - start
-        if cfg.palindrome_constraint and pos >= self.half:
-            return (self.seq[start + k - 1 - pos],)
-        return (0, 1, 2)
-
-    def _extend(self, depth: int):
-        if depth == self.stop_depth:
-            self.collector(tuple(self.seq))
-            return
-        k = self.k
-        if depth == 2 * k:
-            self._leaf()
-            return
         if depth == k and not self._complete_u():
-            return
-        if depth < len(self.prefix):
-            cands = (self.prefix[depth],)
-        else:
-            cands = self._candidates(depth)
-        in_u = depth < k
-        for x in cands:
-            self._attempt()
-            self.seq.append(x)
-            saved = self.ru, self.rv, self.rb1, self.rb2
-            if self._place_u(x) if in_u else self._place_v(depth - k, x):
-                self._extend(depth + 1)
-            self.ru, self.rv, self.rb1, self.rb2 = saved
-            self.seq.pop()
-
-    def _place_u(self, x: int) -> bool:
-        if square_after(len(self.ru))[x](self.ru):
-            return False
-        self.ru = LETTER_BYTES[x] + self.ru
-        return True
+            return ()
+        if self.cfg.palindrome_constraint and depth >= len(self.prefix):
+            start = 0 if depth < k else k  # where the current word starts in seq
+            pos = depth - start
+            if pos >= self.half:
+                return (self.seq[start + k - 1 - pos],)
+        return super()._candidates(depth)
 
     def _complete_u(self) -> bool:
         """Check the conditions U0 settles alone, then set up the V0 phase."""
@@ -256,90 +256,63 @@ class _ShiftSearcher(_SearcherBase):
             r: frozenset([w[k - r :] for w in rev] + [w[:r] for w in rev])
             for r in range(self.half, k)
         }
-        self.rb1 = self.rb2 = rev[0]
+        self.state = (b"", rev[0], rev[0])
         return True
 
-    def _place_v(self, pos: int, x: int) -> bool:
+    def _place(self, depth: int, x: int):
+        k = self.k
+        if depth < k:
+            ru = self.state
+            return None if square_after(len(ru))[x](ru) else LETTER_BYTES[x] + ru
+        rv, rb1, rb2 = self.state
         x1, x2 = (x + 1) % 3, (x + 2) % 3
-        cross = square_after(len(self.rb1))  # rb1 and rb2 have one length
-        if square_after(len(self.rv))[x](self.rv) or cross[x1](self.rb1) or cross[x2](self.rb2):
-            return False
-        rv = LETTER_BYTES[x] + self.rv
-        if rv in self.forbid.get(pos + 1, ()):
-            return False
-        self.rv, self.rb1, self.rb2 = rv, LETTER_BYTES[x1] + self.rb1, LETTER_BYTES[x2] + self.rb2
-        return True
+        cross = square_after(len(rb1))  # rb1 and rb2 have one length
+        if square_after(len(rv))[x](rv) or cross[x1](rb1) or cross[x2](rb2):
+            return None
+        rv = LETTER_BYTES[x] + rv
+        if rv in self.forbid.get(depth - k + 1, ()):
+            return None
+        return rv, LETTER_BYTES[x1] + rb1, LETTER_BYTES[x2] + rb2
 
-    def _leaf(self):
-        u0, v0 = self.ru[::-1], self.rv[::-1]
-        pair = TriplePair._wrap(
-            tuple(Word._wrap(u0.translate(t)) for t in SHIFT_TABLES),
-            tuple(Word._wrap(v0.translate(t)) for t in SHIFT_TABLES),
-        )
-        if verify(pair).verdict:
-            self._record(pair)
+    def _words(self):
+        k = self.k
+        u0, v0 = bytes(self.seq[:k]), bytes(self.seq[k:])
+        return [Word._wrap(w.translate(t)) for t in SHIFT_TABLES for w in (u0, v0)]
 
 
 class _FullSearcher(_SearcherBase):
-    """Assign all six words interleaved, position by position."""
+    """Assign all six words interleaved, position by position.
 
-    WORDS = 6
+    The state is the six words' reversed letters, starting with the word
+    that grows next, so after a full round it is in file order again.
+    """
 
     def __init__(self, cfg, **kw):
         super().__init__(cfg, **kw)
-        self.revs = [b""] * self.WORDS  # reversed letters of each word
+        self.depth = 6 * cfg.k
+        self.state = (b"",) * 6
 
-    def _extend(self, depth: int):
-        if depth == self.stop_depth:
-            self.collector(tuple(self.seq))
-            return
-        if depth == self.WORDS * self.k:
-            self._leaf()
-            return
-        if depth < len(self.prefix):
-            cands = (self.prefix[depth],)
-        elif depth == 0 and self.cfg.first_letter is not None:
-            cands = (self.cfg.first_letter,)
-        else:
-            cands = (0, 1, 2)
-        w = depth % self.WORDS
-        pos = depth // self.WORDS
-        for x in cands:
-            self._attempt()
-            self.seq.append(x)
-            saved = self.revs[w]
-            if self._place(w, pos, x):
-                self._extend(depth + 1)
-            self.revs[w] = saved
-            self.seq.pop()
+    def _place(self, depth: int, x: int):
+        revs = self.state
+        if square_after(len(revs[0]))[x](revs[0]):
+            return None
+        rev = LETTER_BYTES[x] + revs[0]
+        pos, w = divmod(depth, 6)
+        # the w words earlier in the round, last in the state, have length pos + 1
+        if self.half <= pos + 1 < self.k and rev in revs[6 - w :]:
+            return None
+        return revs[1:] + (rev,)
 
-    def _place(self, w: int, pos: int, x: int) -> bool:
-        if square_after(len(self.revs[w]))[x](self.revs[w]):
-            return False
-        rev = LETTER_BYTES[x] + self.revs[w]
-        # words earlier in the round already have length pos + 1
-        if self.half <= pos + 1 < self.k and rev in self.revs[:w]:
-            return False
-        self.revs[w] = rev
-        return True
-
-    def _leaf(self):
-        # revs are in file order U0, V0, U1, V1, U2, V2
-        words = [Word._wrap(r[::-1]) for r in self.revs]
-        pair = TriplePair._wrap(tuple(words[0::2]), tuple(words[1::2]))
-        if verify(pair).verdict:
-            self._record(pair)
+    def _words(self):
+        return [Word._wrap(r[::-1]) for r in self.state]
 
 
 def _new_searcher(cfg: SearchConfig, **kw) -> _SearcherBase:
-    if cfg.shift_symmetry:
-        return _ShiftSearcher(cfg, **kw)
-    return _FullSearcher(cfg, **kw)
+    return (_ShiftSearcher if cfg.shift_symmetry else _FullSearcher)(cfg, **kw)
 
 
 def _run(cfg: SearchConfig, prefix=()) -> SearchOutcome:
-    s = _new_searcher(cfg, prefix=prefix).run()
-    return SearchOutcome(s.results, s.nodes, s.exhausted)
+    return _new_searcher(cfg, prefix=prefix).run()
 
 
 def _shard_prefixes(cfg: SearchConfig):
@@ -357,11 +330,10 @@ def _shard_prefixes(cfg: SearchConfig):
     best, best_nodes = [], 0
     for depth in range(1, total_depth + 1):
         found = []
-        s = _new_searcher(cfg, stop_depth=depth, collector=found.append)
-        s.run()
+        nodes = _new_searcher(cfg, stop_depth=depth, collector=found.append).run().nodes_expanded
         if len(found) <= len(best):
             break
-        best, best_nodes = found, s.nodes
+        best, best_nodes = found, nodes
         if len(found) >= target:
             break
     return best, best_nodes

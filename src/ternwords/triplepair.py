@@ -337,7 +337,7 @@ def parse_pair_text(text: str) -> TriplePair:
 
 
 def read_pair_file(path) -> TriplePair:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         return parse_pair_text(f.read())
 
 

@@ -385,12 +385,16 @@ class TestExitCodeMap:
             (["pair", "verify", "{bad}"], "expected 6 words, found 2"),
             (["pair", "verify", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
             (["pair", "search", "--k", "1"], "k must be >= 2, got 1"),
-            (["pair", "search", "--k", "18", "--nodes", "-1"], "node_budget must be >= 0 or None"),
+            (["pair", "search", "--k", "18", "--nodes", "-1"], "node budget must be >= 0, got -1"),
             (["expand", "{pair}", "--word", "01", "--choices", "U"],
              "choice string length 1 does not match word length 2"),
             (["expand", "{pair}", "--word", "0a", "--choices", "UU"],
              "invalid character 'a' at position 1"),
             (["expand-verify", "{pair}", "--n", "-1"], "length must be >= 0, got -1"),
+            (["pair", "search", "--k", "18", "--limit", "0"], "result limit must be >= 1, got 0"),
+            (["pair", "search", "--k", "18", "--shards", "0"], "shard count must be >= 1, got 0"),
+            (["pair", "search", "--k", "18", "--palindrome", "--no-shift"],
+             "the palindrome restriction needs the shift symmetry"),
         ],
     )
     def test_malformed_input_exits_two(self, capsys, tmp_path, pair_file, argv, err):
@@ -399,6 +403,14 @@ class TestExitCodeMap:
         paths = {"pair": pair_file, "bad": str(bad), "missing": str(tmp_path / "nope.txt")}
         argv = [a.format(**paths) for a in argv]
         assert run(argv, capsys) == (2, "", f"error: {err.format(**paths)}\n")
+
+    def test_a_pair_file_that_is_not_utf8_names_its_path(self, capsys, tmp_path):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"\xff")
+        code, out, err = run(["pair", "verify", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(str(path)) in err
 
     @pytest.mark.parametrize(
         "argv,out,err",

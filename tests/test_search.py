@@ -339,12 +339,19 @@ class TestK18:
         } == set(K18_CANONICAL)
 
     @pytest.mark.parametrize(
-        "max_results,nodes,verify_calls", [(1, 1139, 8), (None, 4864, 56)]
+        "cfg,nodes,verify_calls",
+        [
+            (SearchConfig(k=18, first_letter=2, max_results=1), 1139, 8),
+            (SearchConfig(k=18, first_letter=2), 4864, 56),
+            (SearchConfig(k=3, shift_symmetry=False, first_letter=2), 58981, 15360),
+        ],
+        ids=["1-1139-8", "None-4864-56", "relaxed3-58981-15360"],
     )
-    def test_pinned_node_and_leaf_counts(self, monkeypatch, max_results, nodes, verify_calls):
+    def test_pinned_node_and_leaf_counts(self, monkeypatch, cfg, nodes, verify_calls):
         # verify runs once per leaf and once more per emitted canonical pair:
-        # 7 + 1 on the first hit, 54 + 2 exhaustively.  A leaf screen that
-        # skips verify must change these numbers on purpose.
+        # 7 + 1 on the first hit, 54 + 2 exhaustively at k=18, and 15360 + 0
+        # in the relaxed space at k=3.  A leaf screen that skips verify must
+        # change these numbers on purpose.
         calls = []
 
         def counting_verify(tp):
@@ -352,7 +359,7 @@ class TestK18:
             return verify(tp)
 
         monkeypatch.setattr(search, "verify", counting_verify)
-        outcome = find_pairs(SearchConfig(k=18, first_letter=2, max_results=max_results))
+        outcome = find_pairs(cfg)
         assert outcome.nodes_expanded == nodes
         assert len(calls) == verify_calls
 
@@ -372,6 +379,10 @@ class TestBudgets:
         outcome = find_pairs(SearchConfig(k=18, first_letter=2, node_budget=200))
         assert not outcome.exhausted
         assert outcome.nodes_expanded == 200
+
+    def test_relaxed_budget_stops_at_the_budget(self):
+        outcome = find_pairs(SearchConfig(k=3, shift_symmetry=False, node_budget=1000))
+        assert outcome == ([], 1000, False)
 
     def test_big_budget_reaches_exhaustion(self):
         outcome = find_pairs(SearchConfig(k=5, first_letter=None, node_budget=10**6))
@@ -584,6 +595,7 @@ class TestPalindromicRegime:
             SearchConfig(k=25, palindrome_constraint=True, max_results=1)
         )
         assert len(outcome.pairs_found) == 1
+        assert outcome.nodes_expanded == 513
         tp = outcome.pairs_found[0]
         assert tp.k == 25
         assert verify(tp).verdict
