@@ -44,15 +44,17 @@ EXIT_BUDGET = 3
 
 
 def _load_pair(path: str):
-    """The pair in the file ``path``, or on stdin for '-'; unreadable input is a usage error."""
+    """The pair in the file ``path``, or on stdin for '-'; unreadable input is
+    a usage error.  Both are read as strict UTF-8, whatever the locale."""
     try:
         if path == "-":
-            return parse_pair_text(sys.stdin.read())
+            return parse_pair_text(sys.stdin.buffer.read().decode())
         return read_pair_file(path)
     except OSError as exc:
         raise ValueError(str(exc)) from None
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path!r} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        source = "stdin" if path == "-" else repr(path)
+        raise ValueError(f"{source} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _cmd_count(args) -> int:

