@@ -297,13 +297,12 @@ def _strikes(h: int) -> tuple:
     """Entry a: for each first letter c in ``_OTHERS[a]``, the ``sub`` that
     deletes, from lines of 2h or 2h+1 letters that start with c, those that
     ``square_after`` rejects for a: a newline, c, z, a, c, z and the rest
-    of the line.  The module docstring says why."""
-    if h == 0:  # no y a y fits in one letter, and `.{0,-1}` would be literal text
-        keep = lambda _, lines: lines
-        return ((keep, keep),) * len(ALPHABET)
+    of the line.  The module docstring says why.  At h = 0 the cap is 0,
+    not -1 (which ``re`` would read as literal text): a line of one letter
+    ends after c, where the pattern needs a, so none is deleted."""
     test = rb"\n%c(.{0,%d}?)%c%c\1[^\n]*"  # newline, c, z, a, c, z, rest of the line
     return tuple(
-        tuple(re.compile(test % (c, h - 1, a, c), re.DOTALL).sub for c in _OTHERS[a])
+        tuple(re.compile(test % (c, max(h - 1, 0), a, c), re.DOTALL).sub for c in _OTHERS[a])
         for a in ALPHABET
     )
 
@@ -366,21 +365,15 @@ class _Tally:
             self.limit += self.chunk
 
 
-# a(0) .. a(52), the counts ``_least`` starts from, as the batch count gives
-# them.  The table stops one short of a(53) = 14956584, which would refuse
-# every count from n = 54 at the default budget before it walks: the
-# benchmark's timeout test (bench/test_bench.py) needs `count 80` to walk.
+# a(0) .. a(24), the counts ``_least`` starts from.
 _SMALL_COUNTS = (
-    1, 3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264, 342, 456, 618, 798, 1044, 1392,
-    1830, 2388, 3180, 4146, 5418, 7032, 9198, 11892, 15486, 20220, 26424, 34422, 44862,
-    58446, 76122, 99276, 129516, 168546, 219516, 285750, 372204, 484446, 630666, 821154,
-    1069512, 1392270, 1812876, 2359710, 3072486, 4000002, 5207706, 6778926, 8824956,
-    11488392,
+    1, 3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264, 342, 456,
+    618, 798, 1044, 1392, 1830, 2388, 3180, 4146, 5418, 7032,
 )
 
 
 def _least(m: int) -> int:
-    """A proven lower bound on a(m): a(m) itself for m <= 52, else
+    """A proven lower bound on a(m): a(m) itself for m <= 24, else
     2^(j-1) * _least(j+1) with j = m // 18.  The built-in 18-pair maps the
     a(j+1) square-free words of length j+1, with 2^(j+1) choices each, to
     distinct square-free images.  As 18j <= m, the first m letters of an
@@ -388,7 +381,7 @@ def _least(m: int) -> int:
     choices, and a length-j word has at most two square-free one-letter
     extensions, so at most four images share those blocks: their first m
     letters are at least 2^(j-1) * a(j+1) square-free words of length m."""
-    if m < len(_SMALL_COUNTS):
+    if m <= 24:
         return _SMALL_COUNTS[m]
     j = m // 18
     return 2 ** (j - 1) * _least(j + 1)
@@ -397,11 +390,11 @@ def _least(m: int) -> int:
 def _overruns_surely(n: int, budget: int) -> bool:
     """True when ``_least`` shows that the count of a(n), which visits
     a(m)/6 prefixes of each length m = 2 .. n-1, visits more than
-    ``budget``.  Past m = 52, ``_least(m)`` depends on m // 18 only, so each
+    ``budget``.  Past m = 24, ``_least(m)`` depends on m // 18 only, so each
     run of lengths with one m // 18 adds its equal terms in one product."""
     total, m = 0, 2
     while m < n:
-        end = min(n, m + 1 if m < len(_SMALL_COUNTS) else m - m % 18 + 18)
+        end = min(n, m + 1 if m <= 24 else m - m % 18 + 18)
         total += (end - m) * (_least(m) // 6)
         if total > budget:
             return True

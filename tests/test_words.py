@@ -257,22 +257,23 @@ class TestBatchFilter:
 
     @example(1, [(3, [0, 1, 2, 0, 1] + [0] * 25)])  # y = 01 has 2 > h letters
     @given(
-        st.integers(0, 12),
+        st.integers(1, 12),
         st.lists(st.tuples(st.integers(0, 6), st.lists(LETTER, min_size=30, max_size=30)), max_size=12),
     )
     def test_random_lines(self, h, rows):
         # lines at least 2h letters long, of mixed lengths, square-free or
         # not, grouped by first letter: the patterns for h delete the lines
         # that start with y a y, y of at most h letters, the cap of the
-        # prepend form at length 2h + 1, however long the line
-        revs = sorted((bytes(row[: max(2 * h, 1) + extra]) for extra, row in rows), key=lambda rev: rev[0])
+        # prepend form at length 2h + 1, however long the line; at h = 0
+        # lines have one letter, which the exhaustive test covers
+        revs = sorted((bytes(row[: 2 * h + extra]) for extra, row in rows), key=lambda rev: rev[0])
         for a in (0, 1, 2):
             for c, strike in zip(words._OTHERS[a], _strikes(h)[a]):
                 group = [rev for rev in revs if rev[0] == c]
                 kept = batch(rev for rev in group if square_after(2 * h + 1)[a](rev) is None)
                 assert strike(b"", batch(group)) == kept
 
-    @given(st.integers(1, 30), st.lists(st.lists(LETTER, min_size=30, max_size=30), max_size=12))
+    @given(st.integers(1, 40), st.lists(st.lists(LETTER, min_size=40, max_size=40), max_size=12))
     def test_random_buffers(self, n, rows):
         # a batch of buffers of one length, square-free or not, grouped by
         # first letter in any order within a group
@@ -406,13 +407,6 @@ def batches(monkeypatch):
     return taken
 
 
-@pytest.fixture()
-def walk_only(monkeypatch):
-    """Turn the budget pre-check off, so that budgets the table of exact
-    counts would refuse at once are spent by the walk itself."""
-    monkeypatch.setattr(words, "_overruns_surely", lambda n, budget: False)
-
-
 class TestBatchCount:
     """The batch counter against the depth-first walk, with any cap."""
 
@@ -450,18 +444,7 @@ class TestBudgetPreCheck:
     shows to overrun its budget fails before it walks."""
 
     def test_the_small_counts_are_exact(self):
-        # a(0) .. a(52), as the batch count gives them, against the pins
-        # and, past them up to a(34), the depth-first walk
-        table = words._SMALL_COUNTS
-        assert len(table) == 53
-        assert table[: len(ALL_COUNTS)] == ALL_COUNTS
-        assert [table[m] for m in (38, 42, 45)] == [285750, 821154, 1812876]
-        for n in range(len(ALL_COUNTS), 35):
-            assert table[n] == one_process(n), n
-        # the default budget reaches a(53), not a(54): a(53) = 14956584 in
-        # the table would make the pre-check refuse counts from n = 54 on
-        assert sum(table[2:53]) // 6 == 8257432 <= words.DEFAULT_COUNT_BUDGET
-        assert (sum(table[2:53]) + 14956584) // 6 == 10750196 > words.DEFAULT_COUNT_BUDGET
+        assert words._SMALL_COUNTS == ALL_COUNTS[:25]
 
     def test_the_bound_holds_for_every_pinned_count(self):
         pinned = dict(enumerate(ALL_COUNTS))
@@ -470,11 +453,11 @@ class TestBudgetPreCheck:
             assert words._least(m) <= count, m
 
     def test_against_the_exact_sum(self):
-        # the bound restated: a(m) for m <= 52, else 2^(j-1) * least(j+1)
+        # the bound restated: a(m) for m <= 24, else 2^(j-1) * least(j+1)
         # with j = m // 18; the pre-check fires exactly past the sum of
         # least(m) / 6 over m = 2 .. n-1
         def least(m):
-            return words._SMALL_COUNTS[m] if m <= 52 else 2 ** (m // 18 - 1) * least(m // 18 + 1)
+            return ALL_COUNTS[m] if m <= 24 else 2 ** (m // 18 - 1) * least(m // 18 + 1)
 
         total = 0
         for n in range(3, 700):
@@ -484,10 +467,9 @@ class TestBudgetPreCheck:
 
     @pytest.mark.parametrize("n,fires", [(10**5, False), (10**9, True)])
     def test_a_huge_budget_is_summed_a_run_at_a_time(self, monkeypatch, n, fires):
-        # past m = 52, _least(m) depends on m // 18 only, so the sum calls
-        # it once per tabled length and once per run of 18 lengths, not
-        # once per length; below m = 10^6 each such call nests at most 4
-        # more
+        # past m = 24, _least(m) depends on m // 18 only, so the sum calls
+        # it once per run of 18 lengths, not once per length; below
+        # m = 10^6 each such call nests at most 4 more
         calls = []
         least = words._least
         monkeypatch.setattr(words, "_least", lambda m: calls.append(m) or least(m))
@@ -496,32 +478,29 @@ class TestBudgetPreCheck:
         # the run with m // 18 = j adds at least 2^(j-1) // 6 > budget once
         # 2^(j-1) > 6 * budget, so the sum stops by that run
         runs = min(n // 18, (6 * budget).bit_length() + 1)
-        assert len(calls) <= 5 * (51 + runs)
+        assert len(calls) <= 5 * (23 + runs)
 
     def test_never_fires_on_a_budget_that_fits(self):
         for n in range(3, len(ALL_COUNTS) + 1):
             assert not words._overruns_surely(n, walked(n)), n
         assert not words._overruns_surely(42, 452767)
-        assert not words._overruns_surely(100, 8259492)
+        assert not words._overruns_surely(100, 7074)
 
     def test_fires_where_the_bound_passes_the_budget(self):
-        # up to n = 53 the bound is a(m) itself at every length the count
-        # walks, so the pre-check fires exactly when the walk would overrun
-        # (1241 prefixes at n = 20)
+        # up to a(25) the bound is a(m) itself, so the pre-check fires
+        # exactly when the walk would overrun (1241 prefixes at n = 20)
         assert walked(20) == 1241
-        for n in range(3, 54):
-            exact = sum(words._SMALL_COUNTS[2:n]) // 6
-            assert words._overruns_surely(n, exact - 1), n
-            assert not words._overruns_surely(n, exact), n
-        # below a(100) the bound puts 8257432 prefixes at the lengths up
-        # to 52, then 4 at 53, and 12, 40 and 112 at each length of
-        # 54 .. 71, 72 .. 89 and 90 .. 99: 8259492 in all
-        assert words._overruns_surely(100, 8259491)
+        for n in range(3, 26):
+            assert words._overruns_surely(n, walked(n) - 1), n
+        # below a(100) the bound puts walked(25) = 4935 prefixes at the
+        # lengths up to 24, then 1, 4, 12, 40 and 112 at each length of
+        # 25 .. 35, 36 .. 53, 54 .. 71, 72 .. 89 and 90 .. 99: 7074 in all
+        assert words._overruns_surely(100, 7073)
         assert words._overruns_surely(3, 0)
-        # from n = 220 the length 219 adds 2^11 * a(13) / 6 = 116736
-        # prefixes to 9907748, and the sum passes 10^7
-        assert not words._overruns_surely(219, words.DEFAULT_COUNT_BUDGET)
-        assert words._overruns_surely(220, words.DEFAULT_COUNT_BUDGET)
+        # from n = 254 the length 253 adds 2^13 * a(15) / 6 = 843776
+        # prefixes to 9853474, and the sum passes 10^7
+        assert not words._overruns_surely(253, words.DEFAULT_COUNT_BUDGET)
+        assert words._overruns_surely(254, words.DEFAULT_COUNT_BUDGET)
         assert words._overruns_surely(10**9, 10**30)
         assert words._overruns_surely(10**9, 10**400)  # exact integers, no cap
 
@@ -552,17 +531,9 @@ class TestBudgetPreCheck:
             count_square_free(500, node_budget=words.DEFAULT_COUNT_BUDGET)
         assert batches == []
 
-    def test_the_default_edge_walks_nothing(self, batches):
-        # at 10^7 the bound fires from n = 220 on
-        with pytest.raises(
-            CountBudgetError,
-            match=r"^node budget of 10000000 prefixes exhausted before a\(220\) was counted$",
-        ):
-            count_square_free(220, node_budget=words.DEFAULT_COUNT_BUDGET)
-        assert batches == []
-
     def test_a_count_past_the_pair_bound_walks_nothing(self, batches):
-        # Brinkhuis' a(m) >= 2^(m/24) alone would not rule a(400) out
+        # at 10^7 the bound fires from n = 254 on; Brinkhuis'
+        # a(m) >= 2^(m/24) alone would not rule a(400) out
         with pytest.raises(CountBudgetError, match=r"before a\(400\) was counted$"):
             count_square_free(400, node_budget=words.DEFAULT_COUNT_BUDGET)
         assert batches == []
@@ -592,18 +563,15 @@ class TestParallelCount:
             assert count_square_free(n) == one_process(n), n
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_budget_is_exact_at_42(self, monkeypatch, set_cpus, cpus):
-        # the one-process walk for a(42) visits 452767 prefixes; the
-        # pre-check knows that sum, and the walk alone stops at it too
+    def test_budget_is_exact_at_42(self, set_cpus, cpus):
+        # the one-process walk for a(42) visits 452767 prefixes
         set_cpus(cpus)
-        for precheck in (words._overruns_surely, lambda n, budget: False):
-            monkeypatch.setattr(words, "_overruns_surely", precheck)
-            assert count_square_free(42, node_budget=452767) == 821154
-            with pytest.raises(
-                CountBudgetError,
-                match=r"^node budget of 452766 prefixes exhausted before a\(42\) was counted$",
-            ):
-                count_square_free(42, node_budget=452766)
+        assert count_square_free(42, node_budget=452767) == 821154
+        with pytest.raises(
+            CountBudgetError,
+            match=r"^node budget of 452766 prefixes exhausted before a\(42\) was counted$",
+        ):
+            count_square_free(42, node_budget=452766)
 
     def test_budget_is_exact_at_20(self, parallel):
         assert count_square_free(20, node_budget=1241) == 2388
@@ -614,7 +582,7 @@ class TestParallelCount:
             count_square_free(20, node_budget=1240)
 
     @pytest.mark.parametrize("budget", [0, 58, 59, 100, 10**5])
-    def test_budget_error_names_the_callers_budget(self, set_cpus, walk_only, budget):
+    def test_budget_error_names_the_callers_budget(self, set_cpus, budget):
         # the parent walks 59 prefixes to the split depth; from 59 on, the
         # budget runs out in a subtree, inside a worker
         set_cpus(2)
@@ -671,7 +639,7 @@ class TestSharedBudget:
         assert sem.acquire(False) is False  # only whole chunks took permits
         assert words._count_subtree(None, None, (20, words._START)) == (2388 // 6, 1241)
 
-    def test_many_workers_share_the_budget(self, monkeypatch, set_cpus, walk_only):
+    def test_many_workers_share_the_budget(self, monkeypatch, set_cpus):
         # more workers than CPUs, each taking a permit every 64 prefixes; a
         # permit lost between them would stop a count that fits its budget
         set_cpus(8)
@@ -681,7 +649,7 @@ class TestSharedBudget:
             with pytest.raises(CountBudgetError):
                 count_square_free(42, node_budget=452766)
 
-    def test_an_overrun_stops_near_the_budget(self, set_cpus, pool_sizes, batches, walk_only):
+    def test_an_overrun_stops_near_the_budget(self, set_cpus, pool_sizes, batches):
         # in one process the subtrees run one after another: the first
         # overruns the shared budget and stops within a chunk and a batch
         # of it
