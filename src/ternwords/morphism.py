@@ -113,10 +113,10 @@ def _require_verified(tp: TriplePair):
 def _square_free_words(n: int, budget: int) -> list:
     """The square-free words of length n.  Raises ExpansionBudgetError as
     soon as the words drawn so far have more than ``budget`` images."""
-    # a(n) >= 1, so 2^n alone can exceed the budget; that test is instant,
-    # and it keeps a huge n from starting the enumeration at all.
-    if 2**n > budget:
-        raise ExpansionBudgetError(f"2^n * a(n) >= 2^n = {2**n} exceeds budget {budget}")
+    # a(n) >= 1, so 2^n > budget, that is n >= budget.bit_length() for
+    # budget >= 0, fails at once: a huge n builds no 2^n, enumerates nothing.
+    if n >= budget.bit_length():
+        raise ExpansionBudgetError(f"2^n * a(n) >= 2^{n} exceeds budget {budget}")
     words = []
     for x in enumerate_square_free(n):
         words.append(x)

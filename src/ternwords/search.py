@@ -10,17 +10,17 @@ gives each full assignment one ``verify`` call of the triplepair module
 whose certificate passes are emitted.  Each mode supplies just its
 placement, which applies its cuts, and the six words of a full assignment.
 
-Cuts applied while a candidate grows (each is sound: a cut implies no
-completion can satisfy the definition); ``prune_check`` runs a searcher on
-a fixed prefix, so tests can hold these cuts against verify:
+Cuts, each a None from a mode's ``_place`` for a letter (each is sound: a
+cut implies no completion can satisfy the definition); ``prune_check``
+runs a searcher on a fixed prefix, so tests can hold these cuts against verify:
 
 * a prefix of any constituent word ends with a square;
 * two prefixes of length r >= ceil(k/2) that the distinctness condition
   forces apart coincide (in symmetric mode, against the shifted heads and
   tails of the completed U0);
 * in symmetric mode, a square appears in a growing cross concatenation
-  U0 . shift(V0-prefix, d), or the completed U0 fails its own
-  concatenation and head/tail conditions.
+  U0 . shift(V0-prefix, d), or U0, once its last letter is placed, fails
+  its own concatenation and head/tail conditions.
 
 Each growing word is kept as its letters reversed in a byte string, and
 ``square_after`` from the words module tells whether a letter put in front
@@ -112,9 +112,7 @@ def prune_check(config: SearchConfig, letters) -> bool:
     a full-length assignment that passes verify must return True.
 
     The first-letter restriction, the palindrome restriction and the node
-    budget are not applied.  In shift mode, the checks U0 settles alone
-    run only when the first V0 letter is placed, so an assignment of
-    exactly k letters is not held against them.
+    budget are not applied.
     """
     seq = tuple(letters)
     for pos, a in enumerate(seq):
@@ -176,10 +174,9 @@ class _SearcherBase:
             if verify(pair).verdict:
                 self._record(pair)
             return
-        cands = self._candidates(depth)
-        saved = self.state  # read after _candidates, which may start a phase
+        saved = self.state
         budget = self.cfg.node_budget
-        for x in cands:
+        for x in self._candidates(depth):
             if budget is not None and self.nodes >= budget:
                 raise _Stop
             self.nodes += 1
@@ -213,7 +210,8 @@ class _ShiftSearcher(_SearcherBase):
     X, Y in {U0, V0} and d in {1, 2}, and head/tail collisions collapse to
     comparisons against the three shifts of U0's and V0's heads and tails.
     The state is U0's reversed letters while U0 grows, then the reversed
-    letters of V0 and of U0 . shift(V0, d) for d = 1, 2.
+    letters of V0 and of U0 . shift(V0, d) for d = 1, 2, and the reversed
+    heads of V0 that U0's completion forbids, by length.
     """
 
     def __init__(self, cfg, **kw):
@@ -223,8 +221,6 @@ class _ShiftSearcher(_SearcherBase):
 
     def _candidates(self, depth: int):
         k = self.k
-        if depth == k and not self._complete_u():
-            return ()
         if self.cfg.palindrome_constraint and depth >= len(self.prefix):
             start = 0 if depth < k else k  # where the current word starts in seq
             pos = depth - start
@@ -232,47 +228,49 @@ class _ShiftSearcher(_SearcherBase):
                 return (self.seq[start + k - 1 - pos],)
         return super()._candidates(depth)
 
-    def _complete_u(self) -> bool:
-        """Check the conditions U0 settles alone, then set up the V0 phase."""
+    def _complete_u(self, u: bytes):
+        """The V0 phase's first state, or None when the completed U0 fails
+        the conditions it settles alone."""
         k = self.k
-        u = bytes(self.seq)
         shifted = [u.translate(SHIFT_TABLES[d]) for d in (1, 2)]
         # U0 . shift(U0, d) must be square-free.  U0 and its shifts already
         # are, so any square found crosses the seam.
         for ud in shifted:
             if SQUARE.search(u + ud):
-                return False
+                return None
         # heads of U0, U1, U2 against tails of U0, U1, U2: the shifted
         # comparisons collapse to head(U0) against all three shifts of
         # tail(U0).  Head against head and tail against tail are distinct
         # automatically for distinct shifts.
         for r in range(self.half, k):
             if u[:r] in (u[k - r :], shifted[0][k - r :], shifted[1][k - r :]):
-                return False
+                return None
         # V0's head of length r, reversed, must miss the reversed heads and
         # tails of length r of U0, U1, U2.
         rev = [w[::-1] for w in (u, *shifted)]
-        self.forbid = {
+        forbid = {
             r: frozenset([w[k - r :] for w in rev] + [w[:r] for w in rev])
             for r in range(self.half, k)
         }
-        self.state = (b"", rev[0], rev[0])
-        return True
+        return b"", rev[0], rev[0], forbid
 
     def _place(self, depth: int, x: int):
         k = self.k
         if depth < k:
             ru = self.state
-            return None if square_after(len(ru))[x](ru) else LETTER_BYTES[x] + ru
-        rv, rb1, rb2 = self.state
+            if square_after(len(ru))[x](ru):
+                return None
+            ru = LETTER_BYTES[x] + ru
+            return ru if depth < k - 1 else self._complete_u(ru[::-1])
+        rv, rb1, rb2, forbid = self.state
         x1, x2 = (x + 1) % 3, (x + 2) % 3
         cross = square_after(len(rb1))  # rb1 and rb2 have one length
         if square_after(len(rv))[x](rv) or cross[x1](rb1) or cross[x2](rb2):
             return None
         rv = LETTER_BYTES[x] + rv
-        if rv in self.forbid.get(depth - k + 1, ()):
+        if rv in forbid.get(depth - k + 1, ()):
             return None
-        return rv, LETTER_BYTES[x1] + rb1, LETTER_BYTES[x2] + rb2
+        return rv, LETTER_BYTES[x1] + rb1, LETTER_BYTES[x2] + rb2, forbid
 
     def _words(self):
         k = self.k

@@ -19,9 +19,10 @@ form ``square_after``:
   the longer buffer is built: a square prefix xx of a.rev has x = a.y, so
   rev starts with y a y, and conversely.  The pattern is a lazy group y,
   the letter a, then y again.  As y a y must fit in rev, the group is
-  capped at half the buffer's length, so a buffer that passes is scanned
-  half way, not to its end; hence one pattern per length.  The expansion
-  check tests each new start position of a reversed image this way.
+  capped at (len(rev) - 1) // 2 letters, so a buffer that passes is
+  scanned half way, not to its end; hence one pattern per length.  The
+  expansion check tests each new start position of a reversed image this
+  way.
 
 Enumeration runs the private walker ``_walk``, with an explicit stack, so
 any length is reachable; it proposes only the two letters that differ from
@@ -40,10 +41,11 @@ One ``re.sub`` per group deletes every line that a cannot extend, and one
 ends inside the line, so neither z nor its repeat holds a newline.
 Batches past ``_CAP`` lines are cut and walked depth first.  Subtrees
 share nothing, so forked workers (the package's one pool, in ``_pool``)
-can count the subtrees below a fixed length, and one node budget, shared
-while they walk, counts the prefixes of all those batches.  A count that
-``_least``, a lower bound on a(m) proven with the built-in 18-pair, shows
-to overrun its budget fails before it walks (``_overruns_surely``).
+can count the subtrees below the prefixes of a fixed length, which the
+parent reads off the walker, and one node budget, shared while they walk,
+counts the prefixes of all those batches.  A count that ``_least``, a
+lower bound on a(m) proven with the built-in 18-pair, shows to overrun its
+budget fails before it walks (``_overruns_surely``).
 
 ``_find_square_scan`` is the plain (start, period) scan, kept only as the
 oracle the tests hold the pattern against.
@@ -107,17 +109,14 @@ SHIFT_TABLES = tuple(
 )
 
 
-def _prepend_test(length: int, a: bytes) -> bytes:
-    """y a y, with y at most half of ``length`` letters."""
-    return rb"(.{0,%d}?)" % (length // 2) + a + rb"\1"
-
-
 @functools.lru_cache(maxsize=1024)
 def square_after(length: int) -> tuple:
     """Prepend tests for reversed buffers of ``length`` letters: entry a
     matches rev exactly when ``SQUARE.match(LETTER_BYTES[a] + rev)`` does,
-    without the join.  The module docstring says why."""
-    return tuple(re.compile(_prepend_test(length, a), re.DOTALL).match for a in LETTER_BYTES)
+    without the join.  The module docstring says why.  At length 0 the cap
+    is 0, not -1 (which ``re`` would read as literal text)."""
+    cap = max((length - 1) // 2, 0)
+    return tuple(re.compile(rb"(.{0,%d}?)%c\1" % (cap, a), re.DOTALL).match for a in ALPHABET)
 
 
 class ParseError(ValueError):
@@ -325,12 +324,6 @@ def _survivors(batch: bytes, length: int) -> list:
     ]
 
 
-def _grow(batch: bytes, length: int) -> bytes:
-    """The batch of the square-free prefixes one letter longer."""
-    lines = _survivors(batch, length)
-    return b"".join([lines[a].replace(b"\n", _LINE_STARTS[a]) for a in ALPHABET])
-
-
 def _count_below(n: int, length: int, batch: bytes, take) -> int:
     """Words of length n that extend a prefix in ``batch``, a batch of
     prefixes of ``length`` letters, length < n.  ``take`` is called with
@@ -340,10 +333,11 @@ def _count_below(n: int, length: int, batch: bytes, take) -> int:
     while stack:
         length, batch = stack.pop()
         take(len(batch) // (length + 1))
+        lines = _survivors(batch, length)
         if length == n - 1:
-            words += sum(map(len, _survivors(batch, length))) // n
+            words += sum(map(len, lines)) // n
             continue
-        batch = _grow(batch, length)
+        batch = b"".join([lines[a].replace(b"\n", _LINE_STARTS[a]) for a in ALPHABET])
         size = _CAP * (length + 2)
         stack.extend((length + 1, batch[i : i + size]) for i in range(0, len(batch), size))
     return words
@@ -404,11 +398,12 @@ def _overruns_surely(n: int, budget: int) -> bool:
 
 # Batches hold at most _CAP lines: `count 53` peaked at 16.8 MB with 2^12
 # (17.0 MB with 2^13, 38.8 MB uncapped), and caps of 2^11 .. 2^14 ran as
-# fast.  The parallel count: the parent walks the 0,1 class to its 24 words
-# of length _SPLIT_DEPTH (59 prefixes), and each subtree below is one pool
-# task.  From _PARALLEL_MIN_N on that beat one process in all 15 rounds of
-# a timed crossover on 2 CPUs (12-14 wins at n = 34..37, fewer below).  A
-# budgeted subtree takes a shared permit per _CHUNK prefixes after its first.
+# fast.  The parallel count: the parent reads the 0,1 class's 24 words of
+# length _SPLIT_DEPTH off the walker (59 shorter prefixes), and each
+# subtree below is one pool task.  From _PARALLEL_MIN_N on that beat one
+# process in all 15 rounds of a timed crossover on 2 CPUs (12-14 wins at
+# n = 34..37, fewer below).  A budgeted subtree takes a shared permit per
+# _CHUNK prefixes after its first.
 _CAP = 4096
 _SPLIT_DEPTH = 10
 _PARALLEL_MIN_N = 38
@@ -417,14 +412,11 @@ _CHUNK = 4096
 
 
 def _split(take) -> list:
-    """The batch lines of the 0,1 class at length ``_SPLIT_DEPTH``; ``take``
-    is called for the batches grown on the way, as in ``_count_below``."""
-    batch = _START
-    for length in range(2, _SPLIT_DEPTH):
-        take(len(batch) // (length + 1))
-        batch = _grow(batch, length)
-    width = _SPLIT_DEPTH + 1
-    return [batch[i : i + width] for i in range(0, len(batch), width)]
+    """The batch lines of the 0,1 class at length ``_SPLIT_DEPTH``, read
+    off the walker; ``take`` is called once with the prefixes of lengths
+    2 .. _SPLIT_DEPTH - 1, which ``_count_below`` would have counted."""
+    take(sum(_SMALL_COUNTS[2:_SPLIT_DEPTH]) // 6)
+    return [b"\n" + LETTER_BYTES[a] + rev for rev, a in _walk(_SPLIT_DEPTH, (_START[1:],))]
 
 
 def _count_subtree(permits, chunk: int, task) -> "tuple[int, int]":
@@ -440,21 +432,20 @@ def _count_subtree(permits, chunk: int, task) -> "tuple[int, int]":
     return _count_below(n, len(line) - 1, line, tally), tally.walked
 
 
-def _count_parallel(n: int, tally: _Tally, budget: "int | None") -> int:
+def _count_parallel(n: int, tally: _Tally) -> int:
     """Words of length n in the 0,1 class, walked as subtrees on a pool.
-    The parent's walk to the split depth is counted in the caller's
-    ``tally``, and the subtrees share what is left of ``budget``; a bare
+    The prefixes above the split depth are counted in the caller's
+    ``tally``, and the subtrees share what is left of its limit; a bare
     CountBudgetError stops the pool when they overrun it."""
     from . import _pool
 
     tasks = [(n, line) for line in _split(tally)]
-    if budget is None:
-        left = None
+    left = tally.limit - tally.walked  # infinite without a budget
+    if left == math.inf:
         count = functools.partial(_count_subtree, None, None)
     else:
         from multiprocessing.synchronize import SEM_VALUE_MAX
 
-        left = budget - tally.walked
         chunk = max(_CHUNK, left // SEM_VALUE_MAX + 1)  # so the permits fit
         permits = _pool.context().Semaphore(left // chunk)
         count = functools.partial(_count_subtree, permits, chunk)
@@ -462,10 +453,9 @@ def _count_parallel(n: int, tally: _Tally, budget: "int | None") -> int:
     with closing(_pool.pool_imap(count, tasks, len(tasks))) as results:
         for words, walked in results:
             total += words
-            if left is not None:
-                left -= walked
-                if left < 0:
-                    raise CountBudgetError
+            left -= walked
+            if left < 0:
+                raise CountBudgetError
     return total
 
 
@@ -501,7 +491,7 @@ def count_square_free(n: int, node_budget: "int | None" = None) -> int:
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be >= 0, got {node_budget}")
     if n < 3:
-        return (1, 3, 6)[n]
+        return _SMALL_COUNTS[n]
     tally = _Tally(math.inf if node_budget is None else node_budget)
     try:
         if node_budget is not None and _overruns_surely(n, node_budget):
@@ -510,7 +500,7 @@ def count_square_free(n: int, node_budget: "int | None" = None) -> int:
             from . import _pool  # here, so that commands without a pool do not load it
 
             if _pool.usable_cpus() >= 2:
-                return 6 * _count_parallel(n, tally, node_budget)
+                return 6 * _count_parallel(n, tally)
         return 6 * _count_below(n, 2, _START, tally)
     except CountBudgetError:
         raise CountBudgetError(

@@ -451,6 +451,19 @@ class TestExitCodeMap:
         argv = [a.format(pair=pair_file) for a in argv]
         assert run(argv, capsys) == (3, out, err)
 
+    def test_a_huge_expansion_length_exits_three(self, pair_file):
+        # 2^20000 has more decimal digits than Python converts to text by
+        # default; the budget test neither prints nor builds it
+        proc = subprocess.run(
+            [sys.executable, "-m", "ternwords", "expand-verify", pair_file, "--n", "20000"],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: 2^n * a(n) >= 2^20000 exceeds budget 10000000\n"
+
     def test_a_closed_stdout_is_not_a_usage_error(self):
         # the search writes after its reader is gone: the write fails with
         # BrokenPipeError, which ends in a traceback and exit 1, not in an

@@ -161,6 +161,27 @@ class TestPruneCheck:
                     assert not verify(tp).verdict, (seq, rest)
 
 
+class TestUCompletionCut:
+    """prune_check on a whole U0 against the conditions U0 settles alone,
+    restated: U0 . shift(U0, d) is square-free for d = 1, 2, and no head of
+    U0 of length r, ceil(k/2) <= r < k, is a tail of U0 or of its shifts."""
+
+    def test_every_square_free_u0(self):
+        kept = {}
+        for k in range(3, 9):
+            cfg = SearchConfig(k=k, first_letter=None)
+            kept[k] = 0
+            for w in enumerate_square_free(k):
+                u = w.letters
+                tails = [shift(w, d).letters for d in (0, 1, 2)]
+                keeps = all(_find_square_scan(w + shift(w, d)) is None for d in (1, 2)) and not any(
+                    u[:r] in [t[k - r :] for t in tails] for r in range((k + 1) // 2, k)
+                )
+                assert prune_check(cfg, u) is keeps, u
+                kept[k] += keeps
+        assert kept == {3: 0, 4: 0, 5: 6, 6: 0, 7: 6, 8: 0}
+
+
 class TestCanonicalize:
     def test_idempotent(self, builtin):
         canon = canonicalize(builtin)
@@ -492,7 +513,9 @@ class TestShardPool:
         sharded = find_pairs(cfg)
         assert pool_sizes == [2]
         assert sharded.exhausted
-        assert sharded.nodes_expanded == 39648  # 14592 on one process
+        # the scan reaches depth k, where a U0 that fails its completion
+        # checks is cut, so it lists no shard that would find nothing
+        assert sharded.nodes_expanded == 32340  # 14592 on one process
         assert sharded.pairs_found == find_pairs(cfg._replace(parallel_shards=1)).pairs_found
 
 
@@ -519,8 +542,8 @@ class TestCutLogAdmissibility:
 
     def test_every_cut_at_k3_is_final(self):
         cuts = cut_points(SearchConfig(k=3, first_letter=None))
-        # a cut of U0's completion checks shows up as its three V0 children
-        assert len(cuts) == 45
+        # a U0 that fails its completion checks is one cut, at its last letter
+        assert len(cuts) == 21
         for seq in cuts:
             for rest in itertools.product((0, 1, 2), repeat=6 - len(seq)):
                 full = seq + rest
@@ -530,7 +553,7 @@ class TestCutLogAdmissibility:
     def test_sampled_cuts_at_k5_are_final(self):
         cuts = cut_points(SearchConfig(k=5, first_letter=None))
         deep = [seq for seq in cuts if len(seq) >= 5]
-        assert len(deep) == 138
+        assert len(deep) == 90
         # all of them would take seconds; a fixed sample keeps this quick
         rng = random.Random(1405)
         for seq in rng.sample(deep, 30):

@@ -555,8 +555,14 @@ class TestParallelCount:
         starts = words._split(tally)
         assert len(starts) == 24
         assert tally.walked == 59  # prefixes the parent walks
-        below = words._walk(words._SPLIT_DEPTH, (b"\x01\x00",))
-        assert sorted(starts) == sorted(b"\n" + bytes((a,)) + rev for rev, a in below)
+        # the count's own batch growth from the word 0, 1, restated: the
+        # walker's lines are the batch filter's
+        grown = words._START
+        for length in range(2, words._SPLIT_DEPTH):
+            lines = _survivors(grown, length)
+            grown = b"".join(lines[a].replace(b"\n", b"\n" + bytes((a,))) for a in (0, 1, 2))
+        width = words._SPLIT_DEPTH + 1
+        assert sorted(starts) == sorted(grown[i : i + width] for i in range(0, len(grown), width))
 
     def test_equals_one_process(self, parallel):
         for n in range(words._SPLIT_DEPTH + 1, words._PARALLEL_MIN_N + 1):
