@@ -16,11 +16,21 @@ runs a searcher on a fixed prefix, so tests can hold these cuts against verify:
 
 * a prefix of any constituent word ends with a square;
 * two prefixes of length r >= ceil(k/2) that the distinctness condition
-  forces apart coincide (in symmetric mode, against the shifted heads and
-  tails of the completed U0);
+  forces apart coincide (in symmetric mode, V0's head against the three
+  shifted heads and the tail of the completed U0);
 * in symmetric mode, a square appears in a growing cross concatenation
   U0 . shift(V0-prefix, d), or U0, once its last letter is placed, fails
-  its own concatenation and head/tail conditions.
+  its own concatenation conditions.
+
+Two checks of the definition need no code in symmetric mode, as the
+concatenation tests imply them (U_d = shift(U0, d), r >= ceil(k/2)):
+
+* head_r(U0) = tail_r(U0) gives U0 the period k - r <= k/2, so a square;
+  head_r(U0) = tail_r(U_d), d = 1, 2, puts a square in U_d . U0, which
+  shifted by -d is U0 . shift(U0, 3 - d), which U0's completion rejects;
+* head_r(V0) = tail_r(U_d), d = 1, 2, puts a square in U_d . V0, which
+  shifted by -d is U0 . shift(V0, 3 - d): the cross test cuts it at V0's
+  r-th letter, before the forbidden heads are looked up.
 
 Each growing word is kept as its letters reversed in a byte string, and
 ``square_after`` from the words module tells whether a letter put in front
@@ -234,23 +244,17 @@ class _ShiftSearcher(_SearcherBase):
         k = self.k
         shifted = [u.translate(SHIFT_TABLES[d]) for d in (1, 2)]
         # U0 . shift(U0, d) must be square-free.  U0 and its shifts already
-        # are, so any square found crosses the seam.
+        # are, so any square found crosses the seam.  That also settles
+        # U0's heads against the tails of U0, U1 and U2 (module docstring).
         for ud in shifted:
             if SQUARE.search(u + ud):
                 return None
-        # heads of U0, U1, U2 against tails of U0, U1, U2: the shifted
-        # comparisons collapse to head(U0) against all three shifts of
-        # tail(U0).  Head against head and tail against tail are distinct
-        # automatically for distinct shifts.
-        for r in range(self.half, k):
-            if u[:r] in (u[k - r :], shifted[0][k - r :], shifted[1][k - r :]):
-                return None
-        # V0's head of length r, reversed, must miss the reversed heads and
-        # tails of length r of U0, U1, U2.
+        # V0's head of length r, reversed, must miss the reversed heads of
+        # length r of U0, U1, U2 and U0's reversed tail; the cross tests
+        # cut a head equal to the tail of U1 or U2 (module docstring).
         rev = [w[::-1] for w in (u, *shifted)]
         forbid = {
-            r: frozenset([w[k - r :] for w in rev] + [w[:r] for w in rev])
-            for r in range(self.half, k)
+            r: frozenset([w[k - r :] for w in rev] + [rev[0][:r]]) for r in range(self.half, k)
         }
         return b"", rev[0], rev[0], forbid
 

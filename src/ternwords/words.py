@@ -1,9 +1,10 @@
 """Ternary words over {0, 1, 2} and square (xx) factor detection.
 
 A square is a factor of the form xx with x non-empty; a word with no
-square factor is square-free.  Every square test in the package runs the
-one compiled pattern ``SQUARE`` over the letters as bytes, or its prepend
-form ``square_after``:
+square factor is square-free.  Every square test on single words runs
+the one compiled pattern ``SQUARE`` over the letters as bytes, or its
+prepend form ``square_after``; the count's batch test compares columns
+instead, and the tests hold it against ``square_after``:
 
 * ``SQUARE.search`` tries start positions left to right, and its lazy
   group tries periods shortest first, so the first hit is the square with
@@ -28,17 +29,19 @@ Enumeration runs the private walker ``_walk``, with an explicit stack, so
 any length is reachable; it proposes only the two letters that differ from
 the one just placed (a repeated letter is a square).
 
-``count_square_free`` needs no order, so it filters a whole batch of
-prefixes at once: reversed prefixes of one length, each led by a newline
-and sorted by first letter; lines have one width, so a bisection finds
-where each letter's group starts.  A line that starts with c is tested
-only with a != c, so its y a y has y = c z, and ``_strikes(h)[a]``, for
-lengths 2h and 2h+1, holds per group the prepend test in batch form: a
-newline, c, a lazy z of at most h - 1 letters, the pair a c (which ends
-most tries before the back-reference), z again and the rest of the line.
-One ``re.sub`` per group deletes every line that a cannot extend, and one
-``replace`` puts a in front of the rest.  No match crosses a line end: z
-ends inside the line, so neither z nor its repeat holds a newline.
+``count_square_free`` needs no order, so it tests a whole batch of
+prefixes at once: reversed prefixes of one length, each led by a newline.
+Lines have one width, so ``batch[1 + i :: width]`` is the column of every
+line's i-th letter, which ``_survivors`` reads as one int with letter c
+as the bit 1 << c of the line's byte.  a.line starts with a square of
+period p >= 2 exactly when line[p-1] = a and line[t] = line[t+p] for
+every t < p-1.  Two letters that differ have two of the three bits in
+their XOR, so the OR of those p-1 XORs, spread to the neighbouring bits,
+fills the byte of every line with a mismatch, and column p-1 outside them
+holds the letter that closes the square.  ORed over every p and over
+column 0 (a letter equal to the first closes a square of period 1), each
+line's byte holds the letters that cannot extend it; ``compress`` keeps
+the other lines per letter, and ``replace`` puts the letter in front.
 Batches past ``_CAP`` lines are cut and walked depth first.  Subtrees
 share nothing, so forked workers (the package's one pool, in ``_pool``)
 can count the subtrees below the prefixes of a fixed length, which the
@@ -70,10 +73,10 @@ such containers serve membership tests and sizes only.
 import functools
 import math
 import re
-from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from contextlib import closing
+from itertools import compress
 
 __all__ = [
     "ALPHABET",
@@ -290,38 +293,29 @@ def _walk(n: int, starts):
 # "\n" and a letter: the start of a batch line, and its first letter.
 _LINE_STARTS = tuple(b"\n" + a for a in LETTER_BYTES)
 
-
-@functools.lru_cache(maxsize=1024)
-def _strikes(h: int) -> tuple:
-    """Entry a: for each first letter c in ``_OTHERS[a]``, the ``sub`` that
-    deletes, from lines of 2h or 2h+1 letters that start with c, those that
-    ``square_after`` rejects for a: a newline, c, z, a, c, z and the rest
-    of the line.  The module docstring says why.  At h = 0 the cap is 0,
-    not -1 (which ``re`` would read as literal text): a line of one letter
-    ends after c, where the pattern needs a, so none is deleted."""
-    test = rb"\n%c(.{0,%d}?)%c%c\1[^\n]*"  # newline, c, z, a, c, z, rest of the line
-    return tuple(
-        tuple(re.compile(test % (c, max(h - 1, 0), a, c), re.DOTALL).sub for c in _OTHERS[a])
-        for a in ALPHABET
-    )
+# Tables of the batch test: a letter's bit, and per letter a whether a
+# line's mask byte lets a in.
+_BITS = bytes.maketrans(b"\0\1\2", b"\1\2\4")
+_KEEP = tuple(bytes(not m >> a & 1 for m in range(256)) for a in ALPHABET)
 
 
 def _survivors(batch: bytes, length: int) -> list:
-    """Entry a: the lines of ``batch`` (sorted by first letter) that letter a
-    extends to a square-free prefix, as they are (without a), in letter
-    order.  A line that starts with a is left out unread, as a would repeat
-    its first letter."""
+    """Entry a: the lines of ``batch`` that letter a extends to a
+    square-free prefix, as they are (without a), in batch order.  A line
+    that starts with a is left out, as a would repeat its first letter.
+    The module docstring says how one pass tests every line."""
     width = length + 1
-    lines = range(len(batch) // width)
-    first = lambda i: batch[i * width + 1]
-    one = bisect_left(lines, 1, key=first) * width  # where the 1s start
-    two = bisect_left(lines, 2, key=first) * width
-    groups = batch[:one], batch[one:two], batch[two:]
-    strikes = _strikes(length // 2)
-    return [
-        b"".join([strike(b"", groups[c]) for c, strike in zip(_OTHERS[a], strikes[a])])
-        for a in ALPHABET
-    ]
+    size = len(batch) // width
+    col = [int.from_bytes(batch[1 + i :: width].translate(_BITS), "little") for i in range(length)]
+    mask = col[0] if length else 0
+    for p in range(2, (length + 1) // 2 + 1):
+        diff = 0
+        for t in range(p - 1):
+            diff |= col[t] ^ col[t + p]
+        mask |= col[p - 1] & ~(diff | diff >> 1 | diff << 1)
+    lines = batch.split(b"\n")
+    marks = b"\0" + mask.to_bytes(size, "little")  # \0: keep the text before the first line
+    return [b"\n".join(compress(lines, marks.translate(_KEEP[a]))) for a in ALPHABET]
 
 
 def _count_below(n: int, length: int, batch: bytes, take) -> int:
@@ -396,14 +390,14 @@ def _overruns_surely(n: int, budget: int) -> bool:
     return False
 
 
-# Batches hold at most _CAP lines: `count 53` peaked at 16.8 MB with 2^12
-# (17.0 MB with 2^13, 38.8 MB uncapped), and caps of 2^11 .. 2^14 ran as
-# fast.  The parallel count: the parent reads the 0,1 class's 24 words of
-# length _SPLIT_DEPTH off the walker (59 shorter prefixes), and each
-# subtree below is one pool task.  From _PARALLEL_MIN_N on that beat one
-# process in all 15 rounds of a timed crossover on 2 CPUs (12-14 wins at
-# n = 34..37, fewer below).  A budgeted subtree takes a shared permit per
-# _CHUNK prefixes after its first.
+# Batches hold at most _CAP lines: `count 53` peaked at 15.8 MB with 2^12
+# (17.3 MB with 2^13, 21.3 MB with 2^14, 57 MB uncapped); 2^14 ran 7%
+# faster, 2^11 12% slower.  The parallel count: the parent reads the 0,1
+# class's 24 words of length _SPLIT_DEPTH off the walker (59 shorter
+# prefixes), and each subtree below is one pool task.  From _PARALLEL_MIN_N
+# on that beat one process in all 15 rounds of a timed crossover on 2 CPUs
+# (12-14 wins at n = 34..37, fewer below).  A budgeted subtree takes a
+# shared permit per _CHUNK prefixes after its first.
 _CAP = 4096
 _SPLIT_DEPTH = 10
 _PARALLEL_MIN_N = 38

@@ -25,7 +25,7 @@ from ternwords import (
     shift,
 )
 from ternwords import _pool, words
-from ternwords.words import SQUARE, _find_square_scan, _strikes, _survivors, square_after
+from ternwords.words import SQUARE, _find_square_scan, _survivors, square_after
 
 # a(0) .. a(14), cross-checked against the brute-force filter over all 3^n
 # words (test_counts_match_brute_force repeats that check up to n=10).
@@ -234,44 +234,50 @@ def batch(revs) -> bytes:
     return b"".join(b"\n" + rev for rev in revs)
 
 
+def kept_lines(revs, n: int, a: int) -> bytes:
+    """The batch lines that letter a extends, by the prepend form: those
+    that do not start with a and give a.rev no square prefix."""
+    return batch(rev for rev in revs if rev[:1] != bytes((a,)) and square_after(n)[a](rev) is None)
+
+
 class TestBatchFilter:
-    """Each first-letter group of a batch is filtered by its own pattern per
-    letter: one substitution deletes from the group of lines that start
-    with c exactly the lines that the prepend form rejects for a != c, and
-    no match crosses a line end."""
+    """One pass over the batch's columns keeps, per letter a, exactly the
+    lines that the prepend form lets a extend, in batch order, leaving out
+    the lines that start with a."""
 
     def test_exhaustive_on_square_free_prefixes_up_to_14(self):
         # the reverse of a square-free word is square-free, so these are
-        # every reversed prefix the count can hold; from length 3 on every
-        # pattern deletes some lines of its group and keeps others
+        # every reversed prefix the count can hold, in the count's order
+        # and shuffled; from length 3 on each letter keeps some lines of
+        # the others' groups and drops others
+        rng = random.Random(14)
         for n in range(1, 15):
             revs = sorted(bytes(w)[::-1] for w in enumerate_square_free(n))
+            shuffled = rng.sample(revs, len(revs))
             for a in (0, 1, 2):
-                for c, strike in zip(words._OTHERS[a], _strikes(n // 2)[a]):
-                    group = [rev for rev in revs if rev[0] == c]
-                    kept = batch(rev for rev in group if square_after(n)[a](rev) is None)
-                    assert strike(b"", batch(group)) == kept, (n, c, a)
-                    assert n < 3 or 0 < len(kept) < len(batch(group)), (n, c, a)
-                kept = batch(rev for rev in revs if rev[0] != a and square_after(n)[a](rev) is None)
+                kept = kept_lines(revs, n, a)
+                others = batch(rev for rev in revs if rev[0] != a)
                 assert _survivors(batch(revs), n)[a] == kept, (n, a)
+                assert _survivors(batch(shuffled), n)[a] == kept_lines(shuffled, n, a), (n, a)
+                assert n < 3 or 0 < len(kept) < len(others), (n, a)
 
-    @example(1, [(3, [0, 1, 2, 0, 1] + [0] * 25)])  # y = 01 has 2 > h letters
-    @given(
-        st.integers(1, 12),
-        st.lists(st.tuples(st.integers(0, 6), st.lists(LETTER, min_size=30, max_size=30)), max_size=12),
-    )
-    def test_random_lines(self, h, rows):
-        # lines at least 2h letters long, of mixed lengths, square-free or
-        # not, grouped by first letter: the patterns for h delete the lines
-        # that start with y a y, y of at most h letters, the cap of the
-        # prepend form at length 2h + 1, however long the line; at h = 0
-        # lines have one letter, which the exhaustive test covers
-        revs = sorted((bytes(row[: 2 * h + extra]) for extra, row in rows), key=lambda rev: rev[0])
-        for a in (0, 1, 2):
-            for c, strike in zip(words._OTHERS[a], _strikes(h)[a]):
-                group = [rev for rev in revs if rev[0] == c]
-                kept = batch(rev for rev in group if square_after(2 * h + 1)[a](rev) is None)
-                assert strike(b"", batch(group)) == kept
+    def test_short_lines_and_the_empty_batch(self):
+        # every line of 0 to 3 letters, square-free or not, in reverse
+        # lexicographic order; below length 3 no period p >= 2 fits
+        for n in range(0, 4):
+            revs = [bytes(t) for t in itertools.product((2, 1, 0), repeat=n)]
+            assert _survivors(batch(revs), n) == [kept_lines(revs, n, a) for a in (0, 1, 2)], n
+        for n in range(0, 6):
+            assert _survivors(b"", n) == [b"", b"", b""], n
+
+    # 2.01201 and 0.21021 are squares of period 3; one line per first letter
+    @example(5, [[0, 1, 2, 0, 1] + [0] * 35, [2, 1, 0, 2, 1] + [0] * 35, [1] * 40])
+    @given(st.integers(0, 40), st.lists(st.lists(LETTER, min_size=40, max_size=40), max_size=16))
+    def test_unsorted_batches(self, n, rows):
+        # lines of one length in any order, square-free or not, starting
+        # with any letter, a's own included
+        revs = [bytes(row[:n]) for row in rows]
+        assert _survivors(batch(revs), n) == [kept_lines(revs, n, a) for a in (0, 1, 2)]
 
     @given(st.integers(1, 40), st.lists(st.lists(LETTER, min_size=40, max_size=40), max_size=12))
     def test_random_buffers(self, n, rows):
@@ -279,8 +285,7 @@ class TestBatchFilter:
         # first letter in any order within a group
         revs = sorted((bytes(row[:n]) for row in rows), key=lambda rev: rev[0])
         for a in (0, 1, 2):
-            kept = batch(rev for rev in revs if rev[0] != a and square_after(n)[a](rev) is None)
-            assert _survivors(batch(revs), n)[a] == kept
+            assert _survivors(batch(revs), n)[a] == kept_lines(revs, n, a)
 
 
 class TestIsSquareFree:
@@ -419,6 +424,15 @@ class TestBatchCount:
             assert count_square_free(n) == one_process(n), n
             assert sum(batches) == prefixes, n
             prefixes += one_process(n) // 6
+
+    def test_one_process_up_to_45(self, set_cpus):
+        # A006156's a(25) .. a(45), on the batch test alone
+        set_cpus(1)
+        expected = COUNTS_TAIL[10:] + (
+            44862, 58446, 76122, 99276, 129516, 168546, 219516, 285750,
+            372204, 484446, 630666, 821154, 1069512, 1392270, 1812876,
+        )
+        assert [count_square_free(n) for n in range(25, 46)] == list(expected)
 
     def test_a_small_cap(self, monkeypatch, set_cpus, batches):
         set_cpus(1)
