@@ -28,24 +28,19 @@ classes: immutable, and equal and hashed as their field tuples.  The
 search builds a TriplePair with ``TriplePair._wrap`` and a Certificate at
 every leaf, and a namedtuple costs less to build than a frozen dataclass.
 
-The checks read the six words once as byte strings, and the concatenation
-check builds each word's shifts by 1 and 2 once.  Each concatenation's
-witness comes from one bounded cache, keyed by the concatenation
-relabelled by the cyclic letter shift that makes its first letter 0.  A
-letter bijection maps every factor xx to a factor of the same start and
-period and back, so a word and its shifts have the same witness (smallest
-start, then smallest period), and one cache entry serves all three.  The
-pair search verifies many leaves that share U0 and all of whose other
-words are shifts of U0 and V0, so most lookups hit.  The head/tail check
-tests each length r with one set of the 12 factors, and looks for the
-first colliding pair only when two coincide.
+The checks read the six words once as byte strings.  For the verdict,
+``verify`` tests the 12 concatenations led by a V word before the 12 led
+by a U word.  At every leaf of the shift-symmetric search, each U-led one
+is a letter shift of U0 . shift(U0, d) or U0 . shift(V0, d), which the
+searcher has already passed, so a failing leaf fails in the first group.
+The head/tail check tests each length r with one set of the 12 factors,
+and looks for the first colliding pair only when two coincide.
 """
 
-import functools
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .words import SHIFT_TABLES, ParseError, SquareWitness, Word, find_square, parse_word
+from .words import SHIFT_TABLES, SQUARE, ParseError, Word, find_square, parse_word
 
 __all__ = [
     "TriplePair",
@@ -161,6 +156,8 @@ _CONCAT_PLAN = tuple(
     for x, y in CONCAT_CHOICES
 )
 _CONCAT_LABELS = tuple(f"{i}{x}{j}{y}" for i, j in CONCAT_INDEX_PAIRS for x, y in CONCAT_CHOICES)
+# The verdict's order: V-led (odd first slot) first; the module docstring says why.
+_VERDICT_PLAN = tuple(p for lead in (1, 0) for p in _CONCAT_PLAN if p[0] % 2 == lead)
 
 
 def concatenation_words(tp: TriplePair) -> list:
@@ -173,20 +170,6 @@ def _letter_bytes(tp: TriplePair) -> tuple:
     """The six words in file order, as byte strings of their letters."""
     (u0, u1, u2), (v0, v1, v2) = tp.u, tp.v
     return (u0._bytes, v0._bytes, u1._bytes, v1._bytes, u2._bytes, v2._bytes)
-
-
-@functools.lru_cache(maxsize=4096)
-def _concat_witness(letters: bytes) -> "SquareWitness | None":
-    # letters starts with 0; the module docstring says why this key is enough.
-    return find_square(Word._wrap(letters))
-
-
-def _concat_witnesses(ws: tuple):
-    """Yield the 24 concatenations' witnesses, in emission order."""
-    shifted = [(w, w.translate(SHIFT_TABLES[1]), w.translate(SHIFT_TABLES[2])) for w in ws]
-    cs = [-w[0] % 3 for w in ws]  # the shift that makes each word start with 0
-    for a, b in _CONCAT_PLAN:
-        yield _concat_witness(shifted[a][cs[a]] + shifted[b][cs[a]])
 
 
 def head_tail_range(k: int) -> range:
@@ -241,7 +224,11 @@ class Certificate(namedtuple("Certificate", "k verdict letters")):
 
     @property
     def concat_results(self) -> tuple:
-        return tuple(map(ConcatCheck, _CONCAT_LABELS, _concat_witnesses(self.letters)))
+        ws = self.letters
+        return tuple(
+            ConcatCheck(label, find_square(Word._wrap(ws[a] + ws[b])))
+            for (a, b), label in zip(_CONCAT_PLAN, _CONCAT_LABELS)
+        )
 
     @property
     def headtail_results(self) -> tuple:
@@ -263,13 +250,14 @@ class Certificate(namedtuple("Certificate", "k verdict letters")):
 
 def verify(tp: TriplePair) -> Certificate:
     """Evaluate both defining conditions: the head/tail condition per r,
-    then the 24 concatenations, up to the first that fails.  The verdict
-    needs only the size of each r's set of 12 factors; which pair collides
-    is worked out when ``headtail_results`` is read."""
+    then the 24 concatenations, those led by a V word first, up to the
+    first that fails.  The verdict needs only the size of each r's set of
+    12 factors; which pair collides is worked out when
+    ``headtail_results`` is read."""
     ws = _letter_bytes(tp)
     k = len(ws[0])
     distinct = all(len(set(_factors(ws, k, r))) == 12 for r in head_tail_range(k))
-    ok = distinct and all(w is None for w in _concat_witnesses(ws))
+    ok = distinct and not any(SQUARE.search(ws[a] + ws[b]) for a, b in _VERDICT_PLAN)
     return Certificate(k, ok, ws)
 
 

@@ -32,7 +32,7 @@ the one just placed (a repeated letter is a square).
 ``count_square_free`` needs no order, so it tests a whole batch of
 prefixes at once: reversed prefixes of one length, each led by a newline.
 Lines have one width, so ``batch[1 + i :: width]`` is the column of every
-line's i-th letter, which ``_survivors`` reads as one int with letter c
+line's i-th letter, which ``_mask`` reads as one int with letter c
 as the bit 1 << c of the line's byte.  a.line starts with a square of
 period p >= 2 exactly when line[p-1] = a and line[t] = line[t+p] for
 every t < p-1.  Two letters that differ have two of the three bits in
@@ -41,7 +41,8 @@ fills the byte of every line with a mismatch, and column p-1 outside them
 holds the letter that closes the square.  ORed over every p and over
 column 0 (a letter equal to the first closes a square of period 1), each
 line's byte holds the letters that cannot extend it; ``compress`` keeps
-the other lines per letter, and ``replace`` puts the letter in front.
+the other lines per letter, and ``replace`` puts the letter in front (at
+the last length only their number counts: 3 per line less the mask bits).
 Batches past ``_CAP`` lines are cut and walked depth first.  Subtrees
 share nothing, so forked workers (the package's one pool, in ``_pool``)
 can count the subtrees below the prefixes of a fixed length, which the
@@ -299,13 +300,10 @@ _BITS = bytes.maketrans(b"\0\1\2", b"\1\2\4")
 _KEEP = tuple(bytes(not m >> a & 1 for m in range(256)) for a in ALPHABET)
 
 
-def _survivors(batch: bytes, length: int) -> list:
-    """Entry a: the lines of ``batch`` that letter a extends to a
-    square-free prefix, as they are (without a), in batch order.  A line
-    that starts with a is left out, as a would repeat its first letter.
-    The module docstring says how one pass tests every line."""
+def _mask(batch: bytes, length: int) -> int:
+    """Bit 1 << a of byte i, and no other bit: letter a does not extend line
+    i of ``batch`` to a square-free prefix (see the module docstring)."""
     width = length + 1
-    size = len(batch) // width
     col = [int.from_bytes(batch[1 + i :: width].translate(_BITS), "little") for i in range(length)]
     mask = col[0] if length else 0
     for p in range(2, (length + 1) // 2 + 1):
@@ -313,8 +311,16 @@ def _survivors(batch: bytes, length: int) -> list:
         for t in range(p - 1):
             diff |= col[t] ^ col[t + p]
         mask |= col[p - 1] & ~(diff | diff >> 1 | diff << 1)
+    return mask
+
+
+def _survivors(batch: bytes, length: int) -> list:
+    """Entry a: the lines of ``batch`` that letter a extends to a
+    square-free prefix, as they are (without a), in batch order.  A line
+    that starts with a is left out, as a would repeat its first letter."""
+    size = len(batch) // (length + 1)
     lines = batch.split(b"\n")
-    marks = b"\0" + mask.to_bytes(size, "little")  # \0: keep the text before the first line
+    marks = b"\0" + _mask(batch, length).to_bytes(size, "little")  # \0: text before line 1
     return [b"\n".join(compress(lines, marks.translate(_KEEP[a]))) for a in ALPHABET]
 
 
@@ -326,14 +332,15 @@ def _count_below(n: int, length: int, batch: bytes, take) -> int:
     words = 0
     while stack:
         length, batch = stack.pop()
-        take(len(batch) // (length + 1))
-        lines = _survivors(batch, length)
+        size = len(batch) // (length + 1)
+        take(size)
         if length == n - 1:
-            words += sum(map(len, lines)) // n
+            words += 3 * size - _mask(batch, length).bit_count()
             continue
+        lines = _survivors(batch, length)
         batch = b"".join([lines[a].replace(b"\n", _LINE_STARTS[a]) for a in ALPHABET])
-        size = _CAP * (length + 2)
-        stack.extend((length + 1, batch[i : i + size]) for i in range(0, len(batch), size))
+        chunk = _CAP * (length + 2)
+        stack.extend((length + 1, batch[i : i + chunk]) for i in range(0, len(batch), chunk))
     return words
 
 
@@ -394,13 +401,14 @@ def _overruns_surely(n: int, budget: int) -> bool:
 # (17.3 MB with 2^13, 21.3 MB with 2^14, 57 MB uncapped); 2^14 ran 7%
 # faster, 2^11 12% slower.  The parallel count: the parent reads the 0,1
 # class's 24 words of length _SPLIT_DEPTH off the walker (59 shorter
-# prefixes), and each subtree below is one pool task.  From _PARALLEL_MIN_N
-# on that beat one process in all 15 rounds of a timed crossover on 2 CPUs
-# (12-14 wins at n = 34..37, fewer below).  A budgeted subtree takes a
-# shared permit per _CHUNK prefixes after its first.
+# prefixes), and each subtree below is one pool task.  In a timed crossover
+# of `count n` on 2 CPUs, Python 3.11, the pool beat one process in 31 of
+# 35 alternating rounds at n = 42 and 15 of 15 at n = 43, but in 0 of 20 at
+# n = 38, 7 of 20 at n = 39 and 20-21 of 35 at n = 40, 41.  A budgeted
+# subtree takes a shared permit per _CHUNK prefixes after its first.
 _CAP = 4096
 _SPLIT_DEPTH = 10
-_PARALLEL_MIN_N = 38
+_PARALLEL_MIN_N = 42
 _START = b"\n\x01\x00"  # the batch of the word 0, 1
 _CHUNK = 4096
 

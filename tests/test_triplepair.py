@@ -26,11 +26,10 @@ from ternwords import (
     reverse,
     search,
     shift,
-    triplepair,
     verify,
 )
-from ternwords.triplepair import HEADTAIL_LABELS, _concat_witness
-from ternwords.words import _find_square_scan, enumerate_square_free
+from ternwords.triplepair import HEADTAIL_LABELS
+from ternwords.words import _find_square_scan, enumerate_square_free, is_square_free
 
 DATA = Path(__file__).parent / "data"
 
@@ -405,7 +404,7 @@ def symmetric_pairs(k: int):
 def six_words(draw):
     """Six words of one length k in 2..14.  Each slot is a fresh word, a
     copy of an earlier slot, or a shift of one, so head/tail collisions and
-    shift-equivalent concatenations (witness cache hits) both occur."""
+    shift-equivalent concatenations both occur."""
     k = draw(st.integers(2, 14))
     letters = st.lists(st.integers(0, 2), min_size=k, max_size=k)
     words = []
@@ -444,11 +443,10 @@ LAZY_CHECKS = ("concat_results", "headtail_results")
 
 def assert_lazy_certificate(tp: TriplePair, first: str):
     """verify stops at the first failing check and builds the check tuples
-    only when read; neither may show.  Starting from a cold witness cache,
-    the verdict must be the oracle's, and the certificate text, read after
-    ``first``, must be the oracle's text."""
+    only when read; neither may show.  The verdict must be the oracle's,
+    and the certificate text, read after ``first``, must be the oracle's
+    text."""
     expected = reference_certificate(tp)
-    _concat_witness.cache_clear()
     cert = verify(tp)
     assert f"VERDICT {'PASS' if cert.verdict else 'FAIL'}\n" == expected.splitlines(True)[-1], tp
     getattr(cert, first)
@@ -456,10 +454,7 @@ def assert_lazy_certificate(tp: TriplePair, first: str):
 
 
 class TestVerifyAgainstOracle:
-    """verify's byte-level checks and check cache give the oracle's certificate."""
-
-    def test_witness_cache_is_bounded(self):
-        assert _concat_witness.cache_info().maxsize == 4096
+    """verify's byte-level checks give the oracle's certificate."""
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_every_symmetric_pair_up_to_k5(self, k):
@@ -491,15 +486,18 @@ class TestVerifyAgainstOracle:
         for tp in leaves[:: 1 if config.shift_symmetry else 16]:
             assert certificate_text(verify(tp)) == reference_certificate(tp), tp
 
-    @pytest.mark.parametrize("k, first, calls", [(23, 0, 1566), (25, 2, 4710)])
-    def test_cold_search_square_calls(self, monkeypatch, k, first, calls):
-        # the cache's key and bound decide how often a search runs find_square
-        counted = []
-        real = triplepair.find_square
-        monkeypatch.setattr(triplepair, "find_square", lambda w: counted.append(w) or real(w))
-        _concat_witness.cache_clear()
-        find_pairs(SearchConfig(k=k, first_letter=first))
-        assert len(counted) == calls
+    def test_u_led_concatenations_of_shift_leaves_are_square_free(self, monkeypatch):
+        # verify tests the V-led concatenations first because at a shift
+        # leaf each U-led one is a letter shift of U0 . shift(U0, d) or
+        # U0 . shift(V0, d), which the searcher has already passed
+        configs = [c for c in LEAF_CONFIGS if c.shift_symmetry]
+        leaves = 0
+        for config in (*configs, SearchConfig(k=23, first_letter=2)):
+            for tp in search_leaves(monkeypatch, config):
+                leaves += 1
+                for label, w in concatenation_words(tp):
+                    assert label[1] == "V" or is_square_free(w), (tp, label)
+        assert leaves > 0
 
     @settings(max_examples=200, deadline=None)
     @given(six_words(), st.sampled_from(LAZY_CHECKS))
@@ -535,12 +533,7 @@ class TestVerifyAgainstOracle:
     def test_cold_and_warm_cache(self, builtin):
         pairs = [builtin, tiny_pair(), *symmetric_pairs(4)]
         expected = [reference_certificate(tp) for tp in pairs]
-        _concat_witness.cache_clear()
         cold = [certificate_text(verify(tp)) for tp in pairs]
-        misses = _concat_witness.cache_info().misses
         warm = [certificate_text(verify(tp)) for tp in pairs]
-        info = _concat_witness.cache_info()
         assert cold == expected
         assert warm == expected
-        assert info.misses == misses  # the second pass is served from the cache
-        assert info.hits >= 24 * len(pairs)

@@ -25,7 +25,7 @@ from ternwords import (
     shift,
 )
 from ternwords import _pool, words
-from ternwords.words import SQUARE, _find_square_scan, _survivors, square_after
+from ternwords.words import SQUARE, _find_square_scan, _mask, _survivors, square_after
 
 # a(0) .. a(14), cross-checked against the brute-force filter over all 3^n
 # words (test_counts_match_brute_force repeats that check up to n=10).
@@ -277,7 +277,11 @@ class TestBatchFilter:
         # lines of one length in any order, square-free or not, starting
         # with any letter, a's own included
         revs = [bytes(row[:n]) for row in rows]
-        assert _survivors(batch(revs), n) == [kept_lines(revs, n, a) for a in (0, 1, 2)]
+        kept = [kept_lines(revs, n, a) for a in (0, 1, 2)]
+        assert _survivors(batch(revs), n) == kept
+        # the count's last length reads only the mask's bits
+        survivors = sum(k.count(b"\n") for k in kept)
+        assert 3 * len(revs) - _mask(batch(revs), n).bit_count() == survivors
 
     @given(st.integers(1, 40), st.lists(st.lists(LETTER, min_size=40, max_size=40), max_size=12))
     def test_random_buffers(self, n, rows):
