@@ -25,19 +25,17 @@ enumeration order, the choice strings in product order for even-indexed
 words and in reverse for odd-indexed ones.  Consecutive images then share
 their leading blocks, and the check stops at the first image with a
 square, so the image before the current one is square-free.  Only squares
-that end after the prefix the two images share can be new; they are the
-square prefixes of the reversed image at the start positions before the
-shared part.  Each start position gets the prepend test of its letter on
-the letters after it, ``square_after``, which matches exactly where
-``SQUARE.match`` would (see ``words``) and gives up sooner.  The first
-image shares nothing and is tested whole.  Product order changes the last
-choice most often, so about two blocks of an image are new on average.
+that end past the prefix the two images share can be new, and
+``square_ends_from`` of the words module looks for them, with one prepend
+test per letter past it; the first image shares nothing and is tested
+whole.  Product order changes the last choice most often, so about two
+blocks of an image are new on average.
 """
 
 import itertools
 from collections import namedtuple
 
-from .words import Word, enumerate_square_free, find_square, square_after
+from .words import Word, enumerate_square_free, find_square, square_ends_from
 from .triplepair import TriplePair, verify
 
 __all__ = [
@@ -130,18 +128,6 @@ def _shared_prefix(a: bytes, b: bytes) -> int:
     return len(a) - ((int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).bit_length() + 7) // 8
 
 
-def _has_square_ending_from(image: bytes, shared: int) -> bool:
-    """True when a square of ``image`` ends at position ``shared`` or later:
-    a square prefix of the reversed image starting before len - shared,
-    found by the prepend test of its first letter on the letters after it."""
-    rev = image[::-1]
-    last = len(rev) - 1
-    for pos in range(len(rev) - shared):
-        if square_after(last - pos)[rev[pos]](rev, pos + 1) is not None:
-            return True
-    return False
-
-
 def verify_expansion(tp: TriplePair, n: int, budget: int = DEFAULT_EXPANSION_BUDGET) -> ExpansionReport:
     """Substitute every (square-free word of length n, choice string) pair.
 
@@ -173,7 +159,7 @@ def verify_expansion(tp: TriplePair, n: int, budget: int = DEFAULT_EXPANSION_BUD
     for x, ch in order:
         img = substitute(tp, x, ch)
         b = bytes(img)
-        if _has_square_ending_from(b, 0 if prev is None else _shared_prefix(b, prev)):
+        if square_ends_from(b, 0 if prev is None else _shared_prefix(b, prev)):
             first_square = (x, ch, find_square(img))
             break
         prev = b

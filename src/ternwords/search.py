@@ -8,7 +8,7 @@ which tries the candidate letters, counts nodes against the budget and
 gives each full assignment one ``verify`` call of the triplepair module
 (most fail, and verify stops at its first failing check); only pairs
 whose certificate passes are emitted.  Each mode supplies just its
-placement, which applies its cuts, and the six words of a full assignment.
+placement, which applies its cuts, and the pair of a full assignment.
 
 Cuts, each a None from a mode's ``_place`` for a letter (each is sound: a
 cut implies no completion can satisfy the definition); ``prune_check``
@@ -34,19 +34,19 @@ concatenation tests imply them (U_d = shift(U0, d), r >= ceil(k/2)):
 
 Each growing word is kept as its letters reversed in a byte string, and
 ``square_after`` from the words module tells whether a letter put in front
-would end a square, before the longer string is built.  Parallel runs
-shard the space by fixed-depth prefixes of the assignment sequence, and
-record the shards' pairs in lexicographic shard order through one
-searcher's ``_record``, as one process would: that keeps the emitted pair
-set independent of the shard count.  The pool never has more workers
-than shards or CPUs.
+would end a square, before the longer string is built (a completed U0 gets
+``square_ends_from`` past its seams).  Parallel runs shard the space by
+fixed-depth prefixes of the assignment sequence, and record the shards'
+pairs in lexicographic shard order through one searcher's ``_record``, as
+one process would: that keeps the emitted pair set independent of the
+shard count.  The pool never has more workers than shards or CPUs.
 """
 
 import functools
 from collections import namedtuple
 from contextlib import closing
 
-from .words import LETTER_BYTES, SHIFT_TABLES, SQUARE, Word, shift, square_after
+from .words import LETTER_BYTES, SHIFT_TABLES, Word, shift, square_after, square_ends_from
 from .triplepair import TriplePair, make_triple_pair, verify
 
 __all__ = ["SearchConfig", "SearchOutcome", "find_pairs", "prune_check", "canonicalize"]
@@ -145,7 +145,7 @@ class _SearcherBase:
     """The backtracking loop both modes share.  A mode sets ``depth``, the
     length of a full assignment, and ``state``, the immutable data its cuts
     read; ``_place(depth, x)`` returns the state after placing letter x, or
-    None to cut, and ``_words()`` the six words in file order."""
+    None to cut, and ``_pair()`` the TriplePair of a full assignment."""
 
     def __init__(self, cfg: SearchConfig, prefix=(), stop_depth=None, collector=None):
         self.cfg = cfg
@@ -179,8 +179,7 @@ class _SearcherBase:
             self.collector(tuple(self.seq))
             return
         if depth == self.depth:
-            words = self._words()
-            pair = TriplePair._wrap(tuple(words[0::2]), tuple(words[1::2]))
+            pair = self._pair()
             if verify(pair).verdict:
                 self._record(pair)
             return
@@ -243,15 +242,13 @@ class _ShiftSearcher(_SearcherBase):
         the conditions it settles alone."""
         k = self.k
         shifted = [u.translate(SHIFT_TABLES[d]) for d in (1, 2)]
-        # U0 . shift(U0, d) must be square-free.  U0 and its shifts already
-        # are, so any square found crosses the seam.  That also settles
-        # U0's heads against the tails of U0, U1 and U2 (module docstring).
-        for ud in shifted:
-            if SQUARE.search(u + ud):
-                return None
-        # V0's head of length r, reversed, must miss the reversed heads of
-        # length r of U0, U1, U2 and U0's reversed tail; the cross tests
-        # cut a head equal to the tail of U1 or U2 (module docstring).
+        # U0 . shift(U0, d) must be square-free; any square in it ends past the
+        # seam.  That settles U0's heads against the tails of U0, U1, U2 too.
+        if any(square_ends_from(u + ud, k) for ud in shifted):
+            return None
+        # V0's head of length r, reversed, must miss the reversed heads of U0,
+        # U1, U2 and U0's reversed tail, which cuts at k=24 (U0 . V0 is no
+        # concatenation); the cross tests cut the tails of U1, U2 (docstring).
         rev = [w[::-1] for w in (u, *shifted)]
         forbid = {
             r: frozenset([w[k - r :] for w in rev] + [rev[0][:r]]) for r in range(self.half, k)
@@ -269,6 +266,7 @@ class _ShiftSearcher(_SearcherBase):
         rv, rb1, rb2, forbid = self.state
         x1, x2 = (x + 1) % 3, (x + 2) % 3
         cross = square_after(len(rb1))  # rb1 and rb2 have one length
+        # V0's own test is implied by the cross tests, but is a cheap early cut
         if square_after(len(rv))[x](rv) or cross[x1](rb1) or cross[x2](rb2):
             return None
         rv = LETTER_BYTES[x] + rv
@@ -276,10 +274,11 @@ class _ShiftSearcher(_SearcherBase):
             return None
         return rv, LETTER_BYTES[x1] + rb1, LETTER_BYTES[x2] + rb2, forbid
 
-    def _words(self):
-        k = self.k
-        u0, v0 = bytes(self.seq[:k]), bytes(self.seq[k:])
-        return [Word._wrap(w.translate(t)) for t in SHIFT_TABLES for w in (u0, v0)]
+    def _pair(self):
+        k, w, (_, t1, t2) = self.k, Word._wrap, SHIFT_TABLES
+        u, v = bytes(self.seq[:k]), bytes(self.seq[k:])
+        return TriplePair._wrap((w(u), w(u.translate(t1)), w(u.translate(t2))),
+                                (w(v), w(v.translate(t1)), w(v.translate(t2))))
 
 
 class _FullSearcher(_SearcherBase):
@@ -305,8 +304,9 @@ class _FullSearcher(_SearcherBase):
             return None
         return revs[1:] + (rev,)
 
-    def _words(self):
-        return [Word._wrap(r[::-1]) for r in self.state]
+    def _pair(self):
+        u0, v0, u1, v1, u2, v2 = [Word._wrap(r[::-1]) for r in self.state]
+        return TriplePair._wrap((u0, u1, u2), (v0, v1, v2))
 
 
 def _new_searcher(cfg: SearchConfig, **kw) -> _SearcherBase:

@@ -29,9 +29,12 @@ search builds a TriplePair with ``TriplePair._wrap`` and a Certificate at
 every leaf, and a namedtuple costs less to build than a frozen dataclass.
 
 The checks read the six words once as byte strings.  For the verdict,
-``verify`` tests the 12 concatenations led by a V word before the 12 led
-by a U word.  At every leaf of the shift-symmetric search, each U-led one
-is a letter shift of U0 . shift(U0, d) or U0 . shift(V0, d), which the
+``verify`` looks only for squares that end in a concatenation's second
+half, from the seam on (``square_ends_from``).  Each word is the second
+half of some concatenation, so if none has such a square, the words are
+square-free and no square ends in a first half either.  The 12 led by a V
+word come first: at every leaf of the shift-symmetric search, each U-led
+one is a letter shift of U0 . shift(U0, d) or U0 . shift(V0, d), which the
 searcher has already passed, so a failing leaf fails in the first group.
 The head/tail check tests each length r with one set of the 12 factors,
 and looks for the first colliding pair only when two coincide.
@@ -40,7 +43,7 @@ and looks for the first colliding pair only when two coincide.
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .words import SHIFT_TABLES, SQUARE, ParseError, Word, find_square, parse_word
+from .words import SHIFT_TABLES, ParseError, Word, find_square, parse_word, square_ends_from
 
 __all__ = [
     "TriplePair",
@@ -252,12 +255,12 @@ def verify(tp: TriplePair) -> Certificate:
     """Evaluate both defining conditions: the head/tail condition per r,
     then the 24 concatenations, those led by a V word first, up to the
     first that fails.  The verdict needs only the size of each r's set of
-    12 factors; which pair collides is worked out when
-    ``headtail_results`` is read."""
+    12 factors and the squares that end in a concatenation's second half
+    (module docstring); the check tuples, when read, say where each is."""
     ws = _letter_bytes(tp)
     k = len(ws[0])
     distinct = all(len(set(_factors(ws, k, r))) == 12 for r in head_tail_range(k))
-    ok = distinct and not any(SQUARE.search(ws[a] + ws[b]) for a, b in _VERDICT_PLAN)
+    ok = distinct and not any(square_ends_from(ws[a] + ws[b], k) for a, b in _VERDICT_PLAN)
     return Certificate(k, ok, ws)
 
 

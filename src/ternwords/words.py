@@ -21,9 +21,10 @@ instead, and the tests hold it against ``square_after``:
   rev starts with y a y, and conversely.  The pattern is a lazy group y,
   the letter a, then y again.  As y a y must fit in rev, the group is
   capped at (len(rev) - 1) // 2 letters, so a buffer that passes is
-  scanned half way, not to its end; hence one pattern per length.  The
-  expansion check tests each new start position of a reversed image this
-  way.
+  scanned half way, not to its end; hence one pattern per length.
+* ``square_ends_from(s, start)`` tells whether a square of s ends at index
+  ``start`` or later, by the prepend test at each end from ``start`` up, so
+  a square just past a seam (``verify``, U0's completion) is met first.
 
 Enumeration runs the private walker ``_walk``, with an explicit stack, so
 any length is reachable; it proposes only the two letters that differ from
@@ -121,6 +122,16 @@ def square_after(length: int) -> tuple:
     is 0, not -1 (which ``re`` would read as literal text)."""
     cap = max((length - 1) // 2, 0)
     return tuple(re.compile(rb"(.{0,%d}?)%c\1" % (cap, a), re.DOTALL).match for a in ALPHABET)
+
+
+def square_ends_from(s: bytes, start: int) -> bool:
+    """Whether a square of the letters ``s`` ends at index ``start`` or later:
+    the prepend test of each end's letter, from ``start`` up."""
+    rev, n = s[::-1], len(s)
+    for end in range(start, n):
+        if square_after(end)[s[end]](rev, n - end):
+            return True
+    return False
 
 
 class ParseError(ValueError):

@@ -27,7 +27,7 @@ from ternwords import (
     verify_expansion,
 )
 from ternwords import morphism
-from ternwords.words import SQUARE, _find_square_scan
+from ternwords.words import _find_square_scan
 
 from test_search import relabelled
 
@@ -239,44 +239,6 @@ class TestExpansionAgainstOracle:
         else:
             assert report.first_square == (*first, _find_square_scan(substitute(tp, *first)))
 
-    def test_square_ending_from_matches_a_scan(self):
-        # every word of length <= 7 and every shared prefix length
-        for n in range(8):
-            for letters in itertools.product(b"\0\1\2", repeat=n):
-                image = bytes(letters)
-                ends = {
-                    start + 2 * period - 1
-                    for start in range(n)
-                    for period in range(1, (n - start) // 2 + 1)
-                    if image[start : start + period] == image[start + period : start + 2 * period]
-                }
-                for shared in range(n + 1):
-                    expected = any(end >= shared for end in ends)
-                    assert morphism._has_square_ending_from(image, shared) == expected
-
-    @given(
-        st.lists(st.integers(0, 2), max_size=6),
-        st.lists(st.integers(0, 1), max_size=150),
-        st.lists(st.integers(0, 2), max_size=4),
-    )
-    def test_square_ending_from_matches_the_match_scan(self, head, choices, tail):
-        # a square-free walk, chosen letter by letter among the letters that
-        # keep it square-free, with arbitrary letters on either side (none
-        # gives a square-free buffer); the prepend test at each new start
-        # position against SQUARE.match there, for every shared prefix
-        rev = b""
-        for choice in choices:
-            options = [a for a in b"\0\1\2" if SQUARE.match(bytes((a,)) + rev) is None]
-            if not options:
-                break
-            rev = bytes((options[choice % len(options)],)) + rev
-        image = bytes(head) + rev[::-1] + bytes(tail)
-        back = image[::-1]
-        hits = [SQUARE.match(back, pos) is not None for pos in range(len(image))]
-        for shared in range(len(image) + 1):
-            expected = any(hits[: len(image) - shared])
-            assert morphism._has_square_ending_from(image, shared) == expected
-
     def test_builtin_and_its_relabellings(self, builtin):
         for perm in itertools.permutations(range(3)):
             for swaps in range(8):
@@ -292,7 +254,7 @@ class TestExpansionAgainstOracle:
         # words; where the first choice flips inside a word, U_a and V_a
         # still share their first six letters
         calls = {"substitute": 0, "whole": 0}
-        substitute_, ending_from = morphism.substitute, morphism._has_square_ending_from
+        substitute_, ending_from = morphism.substitute, morphism.square_ends_from
 
         def counted_substitute(*args):
             calls["substitute"] += 1
@@ -303,7 +265,7 @@ class TestExpansionAgainstOracle:
             return ending_from(image, shared)
 
         monkeypatch.setattr(morphism, "substitute", counted_substitute)
-        monkeypatch.setattr(morphism, "_has_square_ending_from", counted_ending_from)
+        monkeypatch.setattr(morphism, "square_ends_from", counted_ending_from)
         report = verify_expansion(builtin, 6)
         assert report_tuple(report) == (2688, True, True)
         assert calls == {"substitute": 2688, "whole": 3}

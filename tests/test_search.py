@@ -116,6 +116,15 @@ class TestPruneCheck:
         assert prune_check(cfg, u0 + [1, 2, 0, 1]) is False  # equals its shift
         assert prune_check(cfg, u0 + [0, 1, 2, 1]) is True
 
+    def test_v0_head_equal_to_u0_tail_is_cut(self):
+        # U0 . V0 is no concatenation of the definition, so no square test
+        # cuts this head; U0's tail in the forbidden heads does
+        cfg = SearchConfig(k=24)
+        u0 = [int(c) for c in "012102010210121021201210"]
+        head = [int(c) for c in "0121021201210"]  # U0's tail, r = 13
+        assert prune_check(cfg, u0 + head) is False
+        assert prune_check(cfg, u0 + head[:-1]) is True
+
     def test_full_mode_interleaved_assignment(self):
         cfg = SearchConfig(k=4, shift_symmetry=False, first_letter=None)
         # one letter per word: all words distinct so far, nothing to cut

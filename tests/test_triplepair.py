@@ -1,5 +1,6 @@
 """Triple-pair construction, the two defining checks, certificates, file IO."""
 
+import itertools
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from ternwords import (
     reverse,
     search,
     shift,
+    triplepair,
     verify,
 )
 from ternwords.triplepair import HEADTAIL_LABELS
@@ -390,8 +392,9 @@ def reference_certificate(tp: TriplePair) -> str:
     return "\n".join(lines) + "\n"
 
 
-def symmetric_pairs(k: int):
-    words = list(enumerate_square_free(k))
+def symmetric_pairs(words):
+    """Every pair of the words, each with its two shifts."""
+    words = list(words)
     for u0 in words:
         for v0 in words:
             yield TriplePair(
@@ -458,8 +461,31 @@ class TestVerifyAgainstOracle:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_every_symmetric_pair_up_to_k5(self, k):
-        for tp in symmetric_pairs(k):
+        for tp in symmetric_pairs(enumerate_square_free(k)):
             assert certificate_text(verify(tp)) == reference_certificate(tp), tp
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_every_symmetric_pair_of_any_words_up_to_k4(self, monkeypatch, k):
+        # the verdict looks only for squares that end in a concatenation's
+        # second half; a square inside a word is found where the word is
+        # the second half of another concatenation.  At k <= 4 the shortest
+        # r is at most 2, which has 9 words, not 12, so the head/tail
+        # condition always fails first; with it switched off, they decide.
+        pairs = list(symmetric_pairs(map(Word, itertools.product((0, 1, 2), repeat=k))))
+        for tp in pairs:
+            assert certificate_text(verify(tp)) == reference_certificate(tp), tp
+        monkeypatch.setattr(triplepair, "head_tail_range", lambda k: range(0))
+        for tp in pairs:
+            expected = all(_find_square_scan(w) is None for _, w in concatenation_words(tp))
+            assert verify(tp).verdict is expected, tp
+
+    def test_a_pair_with_squares_only_where_a_u_word_leads(self, builtin):
+        # the V-led concatenations come first and are all square-free here
+        u1 = parse_word("021012010201202120")
+        tp = builtin._replace(u=(builtin.u[0], u1, builtin.u[2]))
+        assert not verify(tp).verdict
+        assert certificate_text(verify(tp)) == reference_certificate(tp)
+        assert [c.label for c in verify(tp).concat_results if not c.ok] == ["1U2U", "1U0U", "1U0V"]
 
     @settings(max_examples=300, deadline=None)
     @given(six_words())
@@ -531,7 +557,7 @@ class TestVerifyAgainstOracle:
             assert all(a == b for a, b in checks)
 
     def test_cold_and_warm_cache(self, builtin):
-        pairs = [builtin, tiny_pair(), *symmetric_pairs(4)]
+        pairs = [builtin, tiny_pair(), *symmetric_pairs(enumerate_square_free(4))]
         expected = [reference_certificate(tp) for tp in pairs]
         cold = [certificate_text(verify(tp)) for tp in pairs]
         warm = [certificate_text(verify(tp)) for tp in pairs]

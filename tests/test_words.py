@@ -25,7 +25,14 @@ from ternwords import (
     shift,
 )
 from ternwords import _pool, words
-from ternwords.words import SQUARE, _find_square_scan, _mask, _survivors, square_after
+from ternwords.words import (
+    SQUARE,
+    _find_square_scan,
+    _mask,
+    _survivors,
+    square_after,
+    square_ends_from,
+)
 
 # a(0) .. a(14), cross-checked against the brute-force filter over all 3^n
 # words (test_counts_match_brute_force repeats that check up to n=10).
@@ -227,6 +234,49 @@ class TestSquareAfter:
         rev = bytes(letters)
         joined = SQUARE.match(bytes((a,)) + rev) is not None
         assert (square_after(len(rev))[a](rev) is not None) == joined
+
+
+class TestSquareEndsFrom:
+    """Whether a square ends at or after a start index, against a scan of
+    every square's end and against SQUARE.match on the reversed letters."""
+
+    def test_matches_a_scan(self):
+        # every word of length <= 7 and every start
+        for n in range(8):
+            for letters in itertools.product(b"\0\1\2", repeat=n):
+                s = bytes(letters)
+                ends = {
+                    start + 2 * period - 1
+                    for start in range(n)
+                    for period in range(1, (n - start) // 2 + 1)
+                    if s[start : start + period] == s[start + period : start + 2 * period]
+                }
+                for start in range(n + 1):
+                    expected = any(end >= start for end in ends)
+                    assert square_ends_from(s, start) == expected
+
+    @given(
+        st.lists(st.integers(0, 2), max_size=6),
+        st.lists(st.integers(0, 1), max_size=150),
+        st.lists(st.integers(0, 2), max_size=4),
+    )
+    def test_matches_the_match_scan(self, head, choices, tail):
+        # a square-free walk, chosen letter by letter among the letters that
+        # keep it square-free, with arbitrary letters on either side (none
+        # gives a square-free buffer); SQUARE.match on the reversed letters
+        # at each end position, for every start
+        rev = b""
+        for choice in choices:
+            options = [a for a in b"\0\1\2" if SQUARE.match(bytes((a,)) + rev) is None]
+            if not options:
+                break
+            rev = bytes((options[choice % len(options)],)) + rev
+        s = bytes(head) + rev[::-1] + bytes(tail)
+        back = s[::-1]
+        hits = [SQUARE.match(back, pos) is not None for pos in range(len(s))]
+        for start in range(len(s) + 1):
+            expected = any(hits[: len(s) - start])
+            assert square_ends_from(s, start) == expected
 
 
 def batch(revs) -> bytes:
