@@ -152,9 +152,12 @@ def verify_expansion(tp: TriplePair, n: int, budget: int = DEFAULT_EXPANSION_BUD
         raise ValueError(f"budget must be >= 0, got {budget}")
     _require_verified(tp)
     words = _square_free_words(n, budget)
-    forward = ["".join(t) for t in itertools.product("UV", repeat=n)]
-    backward = forward[::-1]
-    order = ((x, ch) for i, x in enumerate(words) for ch in (backward if i % 2 else forward))
+    # product over "VU" lists the choice strings in reverse product order
+    order = (
+        (x, "".join(t))
+        for i, x in enumerate(words)
+        for t in itertools.product("VU" if i % 2 else "UV", repeat=n)
+    )
     first_square = prev = None
     for x, ch in order:
         img = substitute(tp, x, ch)
@@ -164,7 +167,7 @@ def verify_expansion(tp: TriplePair, n: int, budget: int = DEFAULT_EXPANSION_BUD
             break
         prev = b
     return ExpansionReport(
-        total=len(words) * len(forward),
+        total=len(words) * 2**n,
         all_square_free=first_square is None,
         all_distinct=n == 0 or len({*tp.u, *tp.v}) == 6,
         first_square=first_square,

@@ -43,6 +43,7 @@ shard count.  The pool never has more workers than shards or CPUs.
 """
 
 import functools
+import operator
 from collections import namedtuple
 from contextlib import closing
 
@@ -71,7 +72,7 @@ class SearchConfig(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.k < 2:
+        if operator.index(self.k) < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if self.palindrome_constraint and not self.shift_symmetry:
             raise ValueError("the palindrome restriction needs the shift symmetry")
@@ -124,10 +125,7 @@ def prune_check(config: SearchConfig, letters) -> bool:
     The first-letter restriction, the palindrome restriction and the node
     budget are not applied.
     """
-    seq = tuple(letters)
-    for pos, a in enumerate(seq):
-        if not isinstance(a, int) or a not in (0, 1, 2):
-            raise ValueError(f"invalid letter {a!r} at position {pos}")
+    seq = tuple(Word(letters))
     kept = []
     cfg = config._replace(node_budget=None)
     searcher = _new_searcher(cfg, prefix=seq, stop_depth=len(seq), collector=kept.append)

@@ -74,6 +74,7 @@ such containers serve membership tests and sizes only.
 
 import functools
 import math
+import operator
 import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
@@ -277,29 +278,24 @@ def reverse(w: Word) -> Word:
 
 
 def _walk(n: int, starts):
-    """Yield (rev, a) for every square-free word of length n that extends
-    one of ``starts`` (reversed non-empty square-free words shorter than
-    n, at least one): a is its last letter and rev the others, reversed.
-    Words come in start order, then lexicographic order."""
+    """Yield the reversed letters of every square-free word of length n
+    that extends one of ``starts`` (reversed square-free words of at most
+    n letters, non-empty unless n is 0).  Words come in start order, then
+    lexicographic order."""
     stack = list(reversed(starts))
     pop, push = stack.pop, stack.append
-    last = n - 1
     while stack:
         rev = pop()
-        length = len(rev)
-        square = square_after(length)
+        if len(rev) == n:
+            yield rev
+            continue
+        square = square_after(len(rev))
         b, c = _OTHERS[rev[0]]
-        if length < last:
-            # c is pushed first so that b's subtree comes out first
-            if square[c](rev) is None:
-                push(LETTER_BYTES[c] + rev)
-            if square[b](rev) is None:
-                push(LETTER_BYTES[b] + rev)
-        else:
-            if square[b](rev) is None:
-                yield rev, b
-            if square[c](rev) is None:
-                yield rev, c
+        # c is pushed first so that b's subtree comes out first
+        if square[c](rev) is None:
+            push(LETTER_BYTES[c] + rev)
+        if square[b](rev) is None:
+            push(LETTER_BYTES[b] + rev)
 
 
 # "\n" and a letter: the start of a batch line, and its first letter.
@@ -429,7 +425,7 @@ def _split(take) -> list:
     off the walker; ``take`` is called once with the prefixes of lengths
     2 .. _SPLIT_DEPTH - 1, which ``_count_below`` would have counted."""
     take(sum(_SMALL_COUNTS[2:_SPLIT_DEPTH]) // 6)
-    return [b"\n" + LETTER_BYTES[a] + rev for rev, a in _walk(_SPLIT_DEPTH, (_START[1:],))]
+    return [b"\n" + rev for rev in _walk(_SPLIT_DEPTH, (_START[1:],))]
 
 
 def _count_subtree(permits, chunk: int, task) -> "tuple[int, int]":
@@ -499,6 +495,7 @@ def count_square_free(n: int, node_budget: "int | None" = None) -> int:
     budget while they walk, so a parallel count that overruns stops within
     a few thousand prefixes per subtree of where one process would.
     """
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
     if node_budget is not None and node_budget < 0:
@@ -523,10 +520,8 @@ def count_square_free(n: int, node_budget: "int | None" = None) -> int:
 
 def enumerate_square_free(n: int) -> Iterator[Word]:
     """Yield every square-free word of length n in lexicographic order (0 < 1 < 2)."""
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
-    if n < 2:
-        yield from map(Word._wrap, LETTER_BYTES if n else (b"",))
-        return
-    for rev, a in _walk(n, LETTER_BYTES):
-        yield Word._wrap((LETTER_BYTES[a] + rev)[::-1])
+    for rev in _walk(n, LETTER_BYTES if n else (b"",)):
+        yield Word._wrap(rev[::-1])

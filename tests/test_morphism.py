@@ -270,6 +270,22 @@ class TestExpansionAgainstOracle:
         assert report_tuple(report) == (2688, True, True)
         assert calls == {"substitute": 2688, "whole": 3}
 
+    def test_every_image_in_snake_order(self, monkeypatch, builtin):
+        # the whole visiting order, not just where it first fails: odd-indexed
+        # words take their choice strings in reverse product order
+        calls = []
+        substitute_ = morphism.substitute
+
+        def recording_substitute(tp, x, choices):
+            calls.append((x, choices))
+            return substitute_(tp, x, choices)
+
+        monkeypatch.setattr(morphism, "substitute", recording_substitute)
+        for n in range(6):
+            calls.clear()
+            assert verify_expansion(builtin, n).all_square_free
+            assert calls == list(snake_order(n)), n
+
     def test_shared_prefix_matches_a_loop(self):
         # equal-length strings over {0, 1, 2}, leading zero bytes included
         for n in range(7):

@@ -81,6 +81,12 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(k=6)._replace(**kwargs)
 
+    def test_non_integer_k_rejected(self):
+        with pytest.raises(TypeError):
+            SearchConfig(k=5.5)
+        with pytest.raises(TypeError):
+            SearchConfig(k=6)._replace(k=5.5)
+
     def test_a_copy_changes_only_the_named_fields(self):
         cfg = SearchConfig(k=18, first_letter=None, node_budget=100)
         copy = cfg._replace(parallel_shards=4)

@@ -406,6 +406,12 @@ class TestCounting:
         with pytest.raises(ValueError):
             count_square_free(-1)
 
+    def test_non_integer_length_rejected(self):
+        # a length the walk never reaches: without the check the count
+        # spends its whole budget; the budget keeps a regression from hanging
+        with pytest.raises(TypeError):
+            count_square_free(3.5, node_budget=10**5)
+
     def test_growth_upper_bound(self):
         counts = COUNTS + COUNTS_TAIL
         for n in range(1, len(counts) - 1):
@@ -795,6 +801,10 @@ class TestEnumeration:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             list(enumerate_square_free(-2))
+
+    def test_non_integer_length_rejected(self):
+        with pytest.raises(TypeError):
+            list(enumerate_square_free(2.5))
 
 
 class TestShiftReverse:
