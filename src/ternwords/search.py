@@ -78,11 +78,11 @@ class SearchConfig(
             raise ValueError("the palindrome restriction needs the shift symmetry")
         if self.first_letter not in (None, 0, 1, 2):
             raise ValueError(f"first letter must be 0, 1 or 2, got {self.first_letter!r}")
-        if self.max_results is not None and self.max_results < 1:
+        if self.max_results is not None and operator.index(self.max_results) < 1:
             raise ValueError(f"result limit must be >= 1, got {self.max_results}")
-        if self.node_budget is not None and self.node_budget < 0:
+        if self.node_budget is not None and operator.index(self.node_budget) < 0:
             raise ValueError(f"node budget must be >= 0, got {self.node_budget}")
-        if self.parallel_shards < 1:
+        if operator.index(self.parallel_shards) < 1:
             raise ValueError(f"shard count must be >= 1, got {self.parallel_shards}")
         return self
 

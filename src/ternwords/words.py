@@ -3,8 +3,9 @@
 A square is a factor of the form xx with x non-empty; a word with no
 square factor is square-free.  Every square test on single words runs
 the one compiled pattern ``SQUARE`` over the letters as bytes, or its
-prepend form ``square_after``; the count's batch test compares columns
-instead, and the tests hold it against ``square_after``:
+prepend form ``square_after``; the batch tests of the count and of the
+expansion compare columns instead, and the tests hold them against
+``square_after`` and the scan:
 
 * ``SQUARE.search`` tries start positions left to right, and its lazy
   group tries periods shortest first, so the first hit is the square with
@@ -51,6 +52,18 @@ parent reads off the walker, and one node budget, shared while they walk,
 counts the prefixes of all those batches.  A count that ``_least``, a
 lower bound on a(m) proven with the built-in 18-pair, shows to overrun its
 budget fails before it walks (``_overruns_surely``).
+
+``square_lines`` tests a batch of equal-length lines at once, with no
+separator, for the expansion check.  Column i is read as one base-4 int,
+the letter of line j as its digit j.  Two letters that differ have a
+non-zero XOR, so for a period p the digits of col[i] ^ col[i+p] that are 0
+mark the lines whose letters i and i+p agree, and a line has a square of
+period p exactly when p of those marks in a row are 0.  ORing the XORs in
+windows that double in length, then two windows of the largest power of 2
+up to p that overlap to cover p, gives one int per start i <= width - 2p,
+whose zero digits are the lines with that square.  Folding each digit's
+two bits into its low bit and ANDing over every start and period leaves
+the low bit clear on exactly the lines with a square.
 
 ``_find_square_scan`` is the plain (start, period) scan, kept only as the
 oracle the tests hold the pattern against.
@@ -306,6 +319,9 @@ _LINE_STARTS = tuple(b"\n" + a for a in LETTER_BYTES)
 _BITS = bytes.maketrans(b"\0\1\2", b"\1\2\4")
 _KEEP = tuple(bytes(not m >> a & 1 for m in range(256)) for a in ALPHABET)
 
+# The letters as the digits of ``square_lines``' base-4 columns.
+_DIGITS = bytes.maketrans(b"\0\1\2", b"012")
+
 
 def _mask(batch: bytes, length: int) -> int:
     """Bit 1 << a of byte i, and no other bit: letter a does not extend line
@@ -319,6 +335,30 @@ def _mask(batch: bytes, length: int) -> int:
             diff |= col[t] ^ col[t + p]
         mask |= col[p - 1] & ~(diff | diff >> 1 | diff << 1)
     return mask
+
+
+def square_lines(batch: bytes, width: int) -> int:
+    """Bit 2j set, and no other bit, exactly when line j of ``batch`` has a
+    square; the lines are ``width`` letters each, back to back, with no
+    separator (see the module docstring)."""
+    if width < 2 or not batch:
+        return 0
+    # column i from the last line to the first, so that line j is digit j
+    col = [int(batch[i - width :: -width].translate(_DIGITS), 4) for i in range(width)]
+    free = -1
+    for p in range(1, width // 2 + 1):
+        # run[i]: digit j is 0 exactly when letters i .. i + span - 1 of
+        # line j equal the letters p further on
+        run = [col[i] ^ col[i + p] for i in range(width - p)]
+        span = 1
+        while 2 * span <= p:
+            run = [run[i] | run[i + span] for i in range(len(run) - span)]
+            span *= 2
+        tail = p - span
+        for i in range(width - 2 * p + 1):
+            diff = run[i] | run[i + tail]
+            free &= diff | diff >> 1
+    return ~free & int(b"1" * (len(batch) // width), 4)
 
 
 def _survivors(batch: bytes, length: int) -> list:
@@ -498,7 +538,7 @@ def count_square_free(n: int, node_budget: "int | None" = None) -> int:
     n = operator.index(n)
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
-    if node_budget is not None and node_budget < 0:
+    if node_budget is not None and operator.index(node_budget) < 0:
         raise ValueError(f"node budget must be >= 0, got {node_budget}")
     if n < 3:
         return _SMALL_COUNTS[n]

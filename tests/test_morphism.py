@@ -119,6 +119,16 @@ class TestVerifyExpansion:
         with pytest.raises(ValueError, match=r"^budget must be >= 0, got -1$"):
             verify_expansion(builtin, 0, budget=-1)
 
+    def test_non_integer_length_rejected(self, builtin):
+        # a TypeError at once, not a budget error that names 2^30.5
+        with pytest.raises(TypeError):
+            verify_expansion(builtin, 30.5)
+        assert verify_expansion(builtin, True).total == 6
+
+    def test_non_integer_budget_rejected(self, builtin):
+        with pytest.raises(TypeError):
+            verify_expansion(builtin, 2, budget=100.5)
+
     def test_budget_guard_raises_before_work(self, builtin):
         with pytest.raises(ExpansionBudgetError, match="exceeds budget"):
             verify_expansion(builtin, 3, budget=50)
@@ -204,40 +214,61 @@ def v2_with_letter_raised(tp: TriplePair, pos: int) -> TriplePair:
     return TriplePair(u=tp.u, v=(tp.v[0], tp.v[1], Word(letters)))
 
 
+# square-free blocks make images whose squares sit across block boundaries
+PAIR_ROWS = st.integers(2, 4).flatmap(
+    lambda k: st.lists(
+        st.one_of(
+            st.sampled_from([w.letters for w in enumerate_square_free(k)]),
+            st.lists(st.sampled_from([0, 1, 2]), min_size=k, max_size=k),
+        ),
+        min_size=6,
+        max_size=6,
+    )
+)
+
+
+def set_chunk(monkeypatch, images: int, width: int):
+    """Make verify_expansion test ``images`` images of ``width`` letters per chunk."""
+    monkeypatch.setattr(morphism, "_CHUNK_BYTES", images * width)
+
+
+def check_against_the_oracle(monkeypatch, rows, n, chunk=None):
+    monkeypatch.setattr(morphism, "_require_verified", lambda tp: None)
+    tp = make_triple_pair([Word(r) for r in rows])
+    if chunk is not None:
+        set_chunk(monkeypatch, chunk, n * tp.k)
+    report = verify_expansion(tp, n)
+    assert report_tuple(report) == expansion_oracle(tp, n)
+    first = first_square_oracle(tp, n)
+    if first is None:
+        assert report.first_square is None
+    else:
+        assert report.first_square == (*first, _find_square_scan(substitute(tp, *first)))
+
+
 class TestExpansionAgainstOracle:
-    """verify_expansion checks each image only past the prefix it shares
-    with the previous one; the oracle checks every image whole."""
+    """verify_expansion tests the images in chunks, each as one batch; the
+    oracle checks every image on its own."""
 
     @settings(
         max_examples=300,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
         deadline=None,
     )
-    @given(
-        # square-free blocks make images whose squares sit across block
-        # boundaries, where an off-by-one in the shared prefix would hide them
-        st.integers(2, 4).flatmap(
-            lambda k: st.lists(
-                st.one_of(
-                    st.sampled_from([w.letters for w in enumerate_square_free(k)]),
-                    st.lists(st.sampled_from([0, 1, 2]), min_size=k, max_size=k),
-                ),
-                min_size=6,
-                max_size=6,
-            )
-        ),
-        st.integers(0, 4),
-    )
+    @given(PAIR_ROWS, st.integers(0, 4))
     def test_arbitrary_pairs_match_the_whole_image_oracle(self, monkeypatch, rows, n):
-        monkeypatch.setattr(morphism, "_require_verified", lambda tp: None)
-        tp = make_triple_pair([Word(r) for r in rows])
-        report = verify_expansion(tp, n)
-        assert report_tuple(report) == expansion_oracle(tp, n)
-        first = first_square_oracle(tp, n)
-        if first is None:
-            assert report.first_square is None
-        else:
-            assert report.first_square == (*first, _find_square_scan(substitute(tp, *first)))
+        check_against_the_oracle(monkeypatch, rows, n)
+
+    # chunks of one image, of a few and of more than a word's 2^n images
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @settings(
+        max_examples=300,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+        deadline=None,
+    )
+    @given(rows=PAIR_ROWS, n=st.integers(0, 4))
+    def test_chunk_boundaries_match_the_oracle(self, monkeypatch, chunk, rows, n):
+        check_against_the_oracle(monkeypatch, rows, n, chunk)
 
     def test_builtin_and_its_relabellings(self, builtin):
         for perm in itertools.permutations(range(3)):
@@ -247,28 +278,6 @@ class TestExpansionAgainstOracle:
                     report = verify_expansion(tp, n)
                     assert report_tuple(report) == expansion_oracle(tp, n), (perm, swaps, n)
                     assert report.first_square is None
-
-    def test_whole_image_checks_only_where_nothing_is_shared(self, monkeypatch, builtin):
-        # at n=6 an image shares no prefix with the previous one only for
-        # the first image and at the two changes of first letter between
-        # words; where the first choice flips inside a word, U_a and V_a
-        # still share their first six letters
-        calls = {"substitute": 0, "whole": 0}
-        substitute_, ending_from = morphism.substitute, morphism.square_ends_from
-
-        def counted_substitute(*args):
-            calls["substitute"] += 1
-            return substitute_(*args)
-
-        def counted_ending_from(image, shared):
-            calls["whole"] += shared == 0
-            return ending_from(image, shared)
-
-        monkeypatch.setattr(morphism, "substitute", counted_substitute)
-        monkeypatch.setattr(morphism, "square_ends_from", counted_ending_from)
-        report = verify_expansion(builtin, 6)
-        assert report_tuple(report) == (2688, True, True)
-        assert calls == {"substitute": 2688, "whole": 3}
 
     def test_every_image_in_snake_order(self, monkeypatch, builtin):
         # the whole visiting order, not just where it first fails: odd-indexed
@@ -286,15 +295,6 @@ class TestExpansionAgainstOracle:
             assert verify_expansion(builtin, n).all_square_free
             assert calls == list(snake_order(n)), n
 
-    def test_shared_prefix_matches_a_loop(self):
-        # equal-length strings over {0, 1, 2}, leading zero bytes included
-        for n in range(7):
-            strings = [bytes(t) for t in itertools.product(b"\0\1\2", repeat=n)]
-            for a in strings:
-                for b in strings:
-                    expected = next((t for t in range(n) if a[t] != b[t]), n)
-                    assert morphism._shared_prefix(a, b) == expected, (a, b)
-
     def test_no_memory_per_image(self, builtin):
         # 2^7 * a(7) = 7680 images of length 126; a set of them took 2 MB
         verify_expansion(builtin, 3)  # warm the verify and regex caches
@@ -308,35 +308,57 @@ class TestExpansionAgainstOracle:
         assert peak < 500_000
 
 
+FIRST_SQUARES = [
+    (0, ("012", "VVV")),  # the first image of a word
+    (17, ("020", "UVU")),  # inside a word
+]
+
+
+def check_first_square(monkeypatch, builtin, pos, expected):
+    monkeypatch.setattr(morphism, "_require_verified", lambda tp: None)
+    tp = v2_with_letter_raised(builtin, pos)
+    report = verify_expansion(tp, 3)
+    assert not report.all_square_free
+    word, choices, witness = report.first_square
+    assert (str(word), choices) == expected
+    assert (word, choices) == first_square_oracle(tp, 3)
+    assert witness is not None
+    assert witness == find_square(substitute(tp, word, choices))
+
+
 class TestFirstSquare:
-    @pytest.mark.parametrize(
-        "pos,expected",
-        [
-            (0, ("012", "VVV")),  # the first image of a word
-            (17, ("020", "UVU")),  # inside a word
-        ],
-    )
+    @pytest.mark.parametrize("pos,expected", FIRST_SQUARES)
     def test_first_failing_image_in_visiting_order(self, monkeypatch, builtin, pos, expected):
-        monkeypatch.setattr(morphism, "_require_verified", lambda tp: None)
-        tp = v2_with_letter_raised(builtin, pos)
-        report = verify_expansion(tp, 3)
-        assert not report.all_square_free
-        word, choices, witness = report.first_square
-        assert (str(word), choices) == expected
-        assert (word, choices) == first_square_oracle(tp, 3)
-        assert witness is not None
-        assert witness == find_square(substitute(tp, word, choices))
+        check_first_square(monkeypatch, builtin, pos, expected)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("pos,expected", FIRST_SQUARES)
+    def test_first_failing_image_across_chunks(self, monkeypatch, builtin, pos, expected, chunk):
+        set_chunk(monkeypatch, chunk, 3 * builtin.k)
+        check_first_square(monkeypatch, builtin, pos, expected)
 
     def test_stops_at_the_first_square(self, monkeypatch, builtin):
-        # the square is in the 19th image of 96; none after it is built
+        # the square is in the 19th image of 96; with 8 images per chunk the
+        # chunk that holds it ends at image 24, and no later chunk is built
         monkeypatch.setattr(morphism, "_require_verified", lambda tp: None)
+        set_chunk(monkeypatch, 8, 3 * builtin.k)
         calls = []
         substitute_ = morphism.substitute
         monkeypatch.setattr(morphism, "substitute", lambda *args: calls.append(args) or substitute_(*args))
         report = verify_expansion(v2_with_letter_raised(builtin, 17), 3)
         word, choices, _ = report.first_square
         assert (str(word), choices) == ("020", "UVU")
-        assert len(calls) == 19
+        assert len(calls) == 24
+
+    @pytest.mark.parametrize("chunk,built", [(1, 19), (7, 21), (64, 64), (200, 96)])
+    def test_stops_at_the_end_of_the_failing_chunk(self, monkeypatch, builtin, chunk, built):
+        monkeypatch.setattr(morphism, "_require_verified", lambda tp: None)
+        set_chunk(monkeypatch, chunk, 3 * builtin.k)
+        calls = []
+        substitute_ = morphism.substitute
+        monkeypatch.setattr(morphism, "substitute", lambda *args: calls.append(args) or substitute_(*args))
+        assert verify_expansion(v2_with_letter_raised(builtin, 17), 3).first_square is not None
+        assert len(calls) == built
 
 
 class TestCountingInequality:

@@ -87,6 +87,15 @@ class TestSearchConfig:
         with pytest.raises(TypeError):
             SearchConfig(k=6)._replace(k=5.5)
 
+    @pytest.mark.parametrize("field", ["parallel_shards", "max_results", "node_budget"])
+    def test_non_integer_counts_rejected(self, field):
+        # a float raises at once, not deep in the search; a bool is an int
+        with pytest.raises(TypeError):
+            SearchConfig(k=6, **{field: 1.5})
+        with pytest.raises(TypeError):
+            SearchConfig(k=6)._replace(**{field: 1.5})
+        assert getattr(SearchConfig(k=6, **{field: True}), field) is True
+
     def test_a_copy_changes_only_the_named_fields(self):
         cfg = SearchConfig(k=18, first_letter=None, node_budget=100)
         copy = cfg._replace(parallel_shards=4)

@@ -32,6 +32,7 @@ from ternwords.words import (
     _survivors,
     square_after,
     square_ends_from,
+    square_lines,
 )
 
 # a(0) .. a(14), cross-checked against the brute-force filter over all 3^n
@@ -279,6 +280,72 @@ class TestSquareEndsFrom:
             assert square_ends_from(s, start) == expected
 
 
+def scan_lines(lines) -> int:
+    """``square_lines``' answer by the cubic scan: bit 2j for line j with a square."""
+    return sum(1 << 2 * j for j, line in enumerate(lines) if _find_square_scan(Word(line)))
+
+
+# Square-free text to cut lines from: the built-in pair's image of 01201
+# with choices UVVUV, 90 letters.
+SQUARE_FREE_90 = bytes(
+    parse_word("210201202120102012021012102010210120102120210"
+               "121021201210201202120102012021012102010210120")
+)
+
+
+class TestSquareLines:
+    """The expansion's batch test marks exactly the lines the scan finds a
+    square in, so its lowest mark is the first failing line."""
+
+    def test_every_line_up_to_length_10(self):
+        # every ternary line of each length, as one batch per length
+        for n in range(11):
+            lines = [bytes(t) for t in itertools.product(b"\0\1\2", repeat=n)]
+            assert square_lines(b"".join(lines), n) == scan_lines(lines), n
+
+    def test_the_empty_batch(self):
+        for width in range(5):
+            assert square_lines(b"", width) == 0
+
+    @given(
+        st.integers(0, 40).flatmap(
+            lambda width: st.tuples(
+                st.just(width),
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(["square-free", "first", "last", "random"]),
+                        st.integers(0, 90 - width),
+                        st.integers(1, max(width // 2, 1)),
+                        st.lists(LETTER, min_size=width, max_size=width),
+                    ),
+                    min_size=1,
+                    max_size=300,
+                ),
+            )
+        )
+    )
+    def test_random_batches(self, shape):
+        # square-free lines cut from SQUARE_FREE_90, the same with a square
+        # of period p put at the first or at the last letters, and random
+        # lines, which are square-free only when short
+        width, rows = shape
+        lines = []
+        for kind, offset, p, letters in rows:
+            s = SQUARE_FREE_90[offset : offset + width]
+            if kind == "first" and 2 * p <= width:
+                s = s[:p] * 2 + s[2 * p :]
+            elif kind == "last" and 2 * p <= width:
+                s = s[: width - 2 * p] + s[width - 2 * p : width - p] * 2
+            elif kind == "random":
+                s = bytes(letters)
+            lines.append(s)
+        marks = square_lines(b"".join(lines), width)
+        assert marks == scan_lines(lines)
+        first = next((j for j, line in enumerate(lines) if _find_square_scan(Word(line))), None)
+        assert (marks & -marks).bit_length() // 2 == (0 if first is None else first)
+        assert (marks == 0) == (first is None)
+
+
 def batch(revs) -> bytes:
     """The count's batch form: each reversed prefix led by a newline."""
     return b"".join(b"\n" + rev for rev in revs)
@@ -411,6 +478,11 @@ class TestCounting:
         # spends its whole budget; the budget keeps a regression from hanging
         with pytest.raises(TypeError):
             count_square_free(3.5, node_budget=10**5)
+
+    def test_non_integer_budget_rejected(self):
+        with pytest.raises(TypeError):
+            count_square_free(10, node_budget=2.5)
+        assert count_square_free(3, node_budget=True) == 12
 
     def test_growth_upper_bound(self):
         counts = COUNTS + COUNTS_TAIL
