@@ -92,6 +92,7 @@ def _imap(fn, tasks: list, size: int):
             else:
                 proc.terminate()
             proc.join()
+            proc.close()  # its sentinel pipe, else open until collected
             conn.close()
 
 

@@ -118,17 +118,16 @@ def _require_verified(tp: TriplePair):
 
 
 def _square_free_words(n: int, budget: int) -> list:
-    """The square-free words of length n.  Raises ExpansionBudgetError as
-    soon as the words drawn so far have more than ``budget`` images."""
+    """The square-free words of length n.  Raises ExpansionBudgetError when
+    they have more than ``budget`` images, after drawing at most
+    (budget >> n) + 1 words, the first number whose images overrun."""
     # a(n) >= 1, so 2^n > budget, that is n >= budget.bit_length() for
     # budget >= 0, fails at once: a huge n builds no 2^n, enumerates nothing.
     if n >= budget.bit_length():
         raise ExpansionBudgetError(f"2^n * a(n) >= 2^{n} exceeds budget {budget}")
-    words = []
-    for x in enumerate_square_free(n):
-        words.append(x)
-        if 2**n * len(words) > budget:
-            raise ExpansionBudgetError(f"2^n * a(n) >= {2**n * len(words)} exceeds budget {budget}")
+    words = list(itertools.islice(enumerate_square_free(n), (budget >> n) + 1))
+    if len(words) << n > budget:
+        raise ExpansionBudgetError(f"2^n * a(n) >= {len(words) << n} exceeds budget {budget}")
     return words
 
 

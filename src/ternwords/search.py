@@ -14,7 +14,8 @@ Cuts, each a None from a mode's ``_place`` for a letter (each is sound: a
 cut implies no completion can satisfy the definition); ``prune_check``
 runs a searcher on a fixed prefix, so tests can hold these cuts against verify:
 
-* a prefix of any constituent word ends with a square;
+* a prefix of any constituent word ends with a square (in symmetric
+  mode, V0's shows shifted in the cross concatenation below);
 * two prefixes of length r >= ceil(k/2) that the distinctness condition
   forces apart coincide (in symmetric mode, V0's head against the three
   shifted heads and the tail of the completed U0);
@@ -264,8 +265,7 @@ class _ShiftSearcher(_SearcherBase):
         rv, rb1, rb2, forbid = self.state
         x1, x2 = (x + 1) % 3, (x + 2) % 3
         cross = square_after(len(rb1))  # rb1 and rb2 have one length
-        # V0's own test is implied by the cross tests, but is a cheap early cut
-        if square_after(len(rv))[x](rv) or cross[x1](rb1) or cross[x2](rb2):
+        if cross[x1](rb1) or cross[x2](rb2):
             return None
         rv = LETTER_BYTES[x] + rv
         if rv in forbid.get(depth - k + 1, ()):
@@ -349,14 +349,15 @@ def find_pairs(config: SearchConfig) -> SearchOutcome:
     with a node budget uses one process whatever config.parallel_shards
     says, so the budget bounds the whole run and its outcome does not
     depend on the shard count.
+
+    Run to the end, a sharded run counts the one-process nodes (the prefix
+    scan's among them) plus the letters of every shard prefix, which its
+    shard places again.
     """
     if config.parallel_shards == 1 or config.node_budget is not None:
         return _run(config)
 
     prefixes, setup_nodes = _shard_prefixes(config)
-    if len(prefixes) <= 1:
-        out = _run(config)
-        return out._replace(nodes_expanded=out.nodes_expanded + setup_nodes)
 
     from ._pool import pool_imap  # here, so that commands without a pool do not load it
 

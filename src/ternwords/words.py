@@ -86,7 +86,6 @@ such containers serve membership tests and sizes only.
 """
 
 import functools
-import math
 import operator
 import re
 from collections import namedtuple
@@ -396,7 +395,7 @@ class _Tally:
     past ``limit`` raises a bare CountBudgetError, unless it can take one
     of the shared ``permits`` (a semaphore) to walk ``chunk`` more."""
 
-    def __init__(self, limit=math.inf, permits=None, chunk=0):
+    def __init__(self, limit, permits=None, chunk=0):
         self.walked, self.limit, self.permits, self.chunk = 0, limit, permits, chunk
 
     def __call__(self, prefixes: int) -> None:
@@ -444,15 +443,16 @@ def _overruns_surely(n: int, budget: int) -> bool:
     return False
 
 
-# Batches hold at most _CAP lines: `count 53` peaked at 15.8 MB with 2^12
-# (17.3 MB with 2^13, 21.3 MB with 2^14, 57 MB uncapped); 2^14 ran 7%
-# faster, 2^11 12% slower.  The parallel count: the parent reads the 0,1
+# Batches hold at most _CAP lines.  With 2^11 .. 2^14, `count 53` peaked at
+# 15.9 / 15.9 / 17.1 / 20.9 MB (57 MB uncapped), and one process took
+# 0.111 / 0.100 / 0.095 / 0.098 s for `_count_below(42, ...)` (best of 9, 2
+# CPUs, Python 3.11.7).  The parallel count: the parent reads the 0,1
 # class's 24 words of length _SPLIT_DEPTH off the walker (59 shorter
 # prefixes), and each subtree below is one pool task.  In a timed crossover
 # of `count n` on 2 CPUs, Python 3.11, the pool beat one process in 31 of
 # 35 alternating rounds at n = 42 and 15 of 15 at n = 43, but in 0 of 20 at
-# n = 38, 7 of 20 at n = 39 and 20-21 of 35 at n = 40, 41.  A budgeted
-# subtree takes a shared permit per _CHUNK prefixes after its first.
+# n = 38, 7 of 20 at n = 39 and 20-21 of 35 at n = 40, 41.  A subtree
+# takes a shared permit per _CHUNK prefixes after its first.
 _CAP = 4096
 _SPLIT_DEPTH = 10
 _PARALLEL_MIN_N = 42
@@ -470,14 +470,14 @@ def _split(take) -> list:
 
 def _count_subtree(permits, chunk: int, task) -> "tuple[int, int]":
     """Pool task: the words of length n below one batch line, and the
-    prefixes walked.  With a budget (``permits`` not None) the subtree
-    walks ``chunk`` prefixes, then takes a permit for each further chunk it
-    starts.  The caller makes ``left // chunk`` permits, where ``left`` is
-    the budget the subtrees share, so when none is left more than ``left``
-    prefixes have been walked in all, and the walk stops.  Permits are
-    never waited for or given back, so a worker may be stopped any time."""
+    prefixes walked.  The subtree walks ``chunk`` prefixes, then takes a
+    permit for each further chunk it starts.  The caller makes
+    ``left // chunk`` permits, where ``left`` is the budget the subtrees
+    share, so when none is left more than ``left`` prefixes have been
+    walked in all, and the walk stops.  Permits are never waited for or
+    given back, so a worker may be stopped any time."""
     n, line = task
-    tally = _Tally() if permits is None else _Tally(chunk, permits, chunk)
+    tally = _Tally(chunk, permits, chunk)
     return _count_below(n, len(line) - 1, line, tally), tally.walked
 
 
@@ -486,18 +486,15 @@ def _count_parallel(n: int, tally: _Tally) -> int:
     The prefixes above the split depth are counted in the caller's
     ``tally``, and the subtrees share what is left of its limit; a bare
     CountBudgetError stops the pool when they overrun it."""
+    from multiprocessing.synchronize import SEM_VALUE_MAX
+
     from . import _pool
 
     tasks = [(n, line) for line in _split(tally)]
-    left = tally.limit - tally.walked  # infinite without a budget
-    if left == math.inf:
-        count = functools.partial(_count_subtree, None, None)
-    else:
-        from multiprocessing.synchronize import SEM_VALUE_MAX
-
-        chunk = max(_CHUNK, left // SEM_VALUE_MAX + 1)  # so the permits fit
-        permits = _pool.context().Semaphore(left // chunk)
-        count = functools.partial(_count_subtree, permits, chunk)
+    left = tally.limit - tally.walked
+    chunk = max(_CHUNK, left // SEM_VALUE_MAX + 1)  # so the permits fit
+    permits = _pool.context().Semaphore(left // chunk)
+    count = functools.partial(_count_subtree, permits, chunk)
     total = 0
     with closing(_pool.pool_imap(count, tasks, len(tasks))) as results:
         for words, walked in results:
@@ -508,7 +505,7 @@ def _count_parallel(n: int, tally: _Tally) -> int:
     return total
 
 
-def count_square_free(n: int, node_budget: "int | None" = None) -> int:
+def count_square_free(n: int, node_budget: int = DEFAULT_COUNT_BUDGET) -> int:
     """Number of square-free words of length n (1 for the empty word).
 
     Words are counted in classes under the six permutations of the
@@ -525,26 +522,27 @@ def count_square_free(n: int, node_budget: "int | None" = None) -> int:
     subtrees share nothing, so their counts add up.  Otherwise one process
     walks the whole class.
 
-    ``node_budget`` caps the prefixes visited, with the same meaning on
-    both paths: the prefixes of the parent's walk plus those of every
-    subtree equal the one-process count, a(m)/6 summed over m = 2 .. n-1,
-    and the count succeeds exactly when that total is at most
-    ``node_budget``.  Otherwise CountBudgetError names the budget and n.
-    A count that the built-in pair's lower bound on a(m) (``_least``)
-    already shows to overrun fails before it walks.  The workers share the
-    budget while they walk, so a parallel count that overruns stops within
-    a few thousand prefixes per subtree of where one process would.
+    ``node_budget``, ``DEFAULT_COUNT_BUDGET`` unless given, caps the
+    prefixes visited, with the same meaning on both paths: the prefixes of
+    the parent's walk plus those of every subtree equal the one-process
+    count, a(m)/6 summed over m = 2 .. n-1, and the count succeeds exactly
+    when that total is at most it.  Otherwise CountBudgetError names the
+    budget and n.  A count that the built-in pair's lower bound on a(m)
+    (``_least``) already shows to overrun fails before it walks.  The
+    workers share the budget while they walk, so a parallel count that
+    overruns stops within a few thousand prefixes per subtree of where one
+    process would.
     """
     n = operator.index(n)
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
-    if node_budget is not None and operator.index(node_budget) < 0:
+    if operator.index(node_budget) < 0:
         raise ValueError(f"node budget must be >= 0, got {node_budget}")
     if n < 3:
         return _SMALL_COUNTS[n]
-    tally = _Tally(math.inf if node_budget is None else node_budget)
+    tally = _Tally(node_budget)
     try:
-        if node_budget is not None and _overruns_surely(n, node_budget):
+        if _overruns_surely(n, node_budget):
             raise CountBudgetError
         if n >= _PARALLEL_MIN_N:
             from . import _pool  # here, so that commands without a pool do not load it

@@ -1,6 +1,8 @@
 """The package's one process pool: ordered results and reaped workers."""
 
+import gc
 import multiprocessing
+import os
 import subprocess
 import sys
 from contextlib import closing
@@ -38,6 +40,28 @@ class TestPoolImap:
         with pytest.raises(ValueError):
             list(pool_imap(_fail_on_three, list(range(10)), 2))
         assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors in /proc")
+def test_the_pool_closes_its_pipes():
+    # a dropped Connection or Process closes its pipes only when it is
+    # collected, and warns of nothing; the pool closes them itself after
+    # the last result, when the caller stops early and when a task fails,
+    # though the error's traceback keeps the pool's frame alive
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    gc.disable()
+    try:
+        before = open_fds()
+        assert list(pool_imap(_square, list(range(20)), 2)) == [x * x for x in range(20)]
+        with closing(pool_imap(_square, list(range(1000)), 2)) as results:
+            next(results)
+        with pytest.raises(ValueError) as failed:
+            list(pool_imap(_fail_on_three, list(range(10)), 2))
+        assert open_fds() == before, failed
+    finally:
+        gc.enable()
 
 
 def test_workers_are_reaped(set_cpus):

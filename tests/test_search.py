@@ -1,6 +1,7 @@
 """Search: configuration, prune soundness, canonical forms, completeness."""
 
 import functools
+import hashlib
 import itertools
 import random
 
@@ -17,6 +18,7 @@ from ternwords import (
     enumerate_square_free,
     find_pairs,
     make_triple_pair,
+    pair_text,
     parse_word,
     prune_check,
     reverse,
@@ -37,6 +39,24 @@ K18_CANONICAL = (
     ("201210120212012102", "201210212021012102"),
     ("210201021202102012", "210201202120102012"),
 )
+
+
+# nodes= of the exhaustive one-process shift-symmetric run at k = 2 .. 20,
+# with the first letter 2 and free, and the sha256 of the text of the pairs
+# it lists (k=18 alone lists any).  In symmetric mode only the cross test
+# looks for V0's squares; these pin that it cuts at the same nodes as a
+# test of V0 itself would.
+PINNED_NODES = {
+    2: (4, 10, 22, 58, 70, 142, 172, 250, 358, 502, 706, 1066, 1312, 1768,
+        2386, 3400, 4864, 6046, 7450),
+    None: (12, 30, 66, 174, 210, 426, 516, 750, 1074, 1506, 2118, 3198, 3936,
+           5304, 7158, 10200, 14592, 18138, 22350),
+}
+PINNED_LISTINGS = {
+    (2, 18): "180ca2192651369616b8e4d4c17edd4741b932e2d34009132ed4b4ece334d075",
+    (None, 18): "a5d01ffae8c7885b93ee7924c6fd552998177ba1d3ff505da60307a4fea5f849",
+}
+EMPTY_LISTING = hashlib.sha256(b"").hexdigest()
 
 
 def symmetric_pair(u0: Word, v0: Word) -> TriplePair:
@@ -408,6 +428,15 @@ class TestK18:
         assert outcome.nodes_expanded == nodes
         assert len(calls) == verify_calls
 
+    @pytest.mark.parametrize("first_letter", [2, None])
+    def test_pinned_nodes_and_listings_up_to_k20(self, first_letter):
+        for k, nodes in enumerate(PINNED_NODES[first_letter], start=2):
+            outcome = find_pairs(SearchConfig(k=k, first_letter=first_letter))
+            listing = "".join(pair_text(tp) for tp in outcome.pairs_found)
+            assert (outcome.nodes_expanded, outcome.exhausted) == (nodes, True), k
+            digest = hashlib.sha256(listing.encode()).hexdigest()
+            assert digest == PINNED_LISTINGS.get((first_letter, k), EMPTY_LISTING), k
+
     def test_deterministic_across_runs(self):
         cfg = SearchConfig(k=18, first_letter=None)
         assert find_pairs(cfg).pairs_found == find_pairs(cfg).pairs_found
@@ -508,6 +537,32 @@ class TestShardPool:
         assert pool_sizes == []
         assert sharded == single
         assert sharded.nodes_expanded <= budget
+
+    @pytest.mark.parametrize(
+        "cfg,count,depth",
+        [
+            (SearchConfig(k=23, first_letter=0, parallel_shards=2), 10, 5),
+            (SearchConfig(k=23, first_letter=1, parallel_shards=2), 10, 5),
+            (SearchConfig(k=23, first_letter=2, parallel_shards=2), 10, 5),
+            (SearchConfig(k=25, parallel_shards=2), 10, 5),
+            (SearchConfig(k=18, first_letter=None, parallel_shards=1000), 1044, 17),
+            (SearchConfig(k=2, parallel_shards=2), 1, 1),
+        ],
+        ids=["k23-0", "k23-1", "k23-2", "k25", "k18-free-1000", "k2"],
+    )
+    def test_sharded_nodes_add_the_prefix_letters(self, set_cpus, pool_sizes, cfg, count, depth):
+        # the scan's nodes are the one-process run's above the shard depth,
+        # and each shard places its prefix's letters again; one prefix
+        # (k=2, the scan stops at depth 1) is one shard like any other
+        prefixes, _ = _shard_prefixes(cfg)
+        assert (len(prefixes), {len(p) for p in prefixes}) == (count, {depth})
+        single = find_pairs(cfg._replace(parallel_shards=1))
+        set_cpus(2)
+        sharded = find_pairs(cfg)
+        assert pool_sizes == [min(2, count)]
+        assert sharded.nodes_expanded == single.nodes_expanded + count * depth
+        assert sharded.pairs_found == single.pairs_found
+        assert sharded.exhausted
 
     def test_scan_stops_when_the_frontier_stops_growing(self, monkeypatch, set_cpus, pool_sizes):
         cfg = SearchConfig(k=18, first_letter=None, parallel_shards=1000)

@@ -677,6 +677,19 @@ class TestBudgetPreCheck:
             count_square_free(500, node_budget=words.DEFAULT_COUNT_BUDGET)
         assert batches == []
 
+    def test_every_count_has_a_budget(self, batches):
+        # the library's default is the budget the CLI passes, and None is
+        # not a budget: a count with no argument stops before it walks
+        assert count_square_free.__defaults__ == (words.DEFAULT_COUNT_BUDGET,)
+        with pytest.raises(
+            CountBudgetError,
+            match=r"^node budget of 10000000 prefixes exhausted before a\(500\) was counted$",
+        ):
+            count_square_free(500)
+        assert batches == []
+        with pytest.raises(TypeError):
+            count_square_free(20, node_budget=None)
+
     def test_a_count_past_the_pair_bound_walks_nothing(self, batches):
         # at 10^7 the bound fires from n = 254 on; Brinkhuis'
         # a(m) >= 2^(m/24) alone would not rule a(400) out
@@ -697,7 +710,7 @@ class TestParallelCount:
         monkeypatch.setattr(words, "_PARALLEL_MIN_N", words._SPLIT_DEPTH + 1)
 
     def test_split(self):
-        tally = words._Tally()
+        tally = words._Tally(59)  # the prefixes above the split depth fit
         starts = words._split(tally)
         assert len(starts) == 24
         assert tally.walked == 59  # prefixes the parent walks
@@ -789,7 +802,6 @@ class TestSharedBudget:
         for _ in range(100 - 12):
             assert sem.acquire(False)
         assert sem.acquire(False) is False  # only whole chunks took permits
-        assert words._count_subtree(None, None, (20, words._START)) == (2388 // 6, 1241)
 
     def test_many_workers_share_the_budget(self, monkeypatch, set_cpus):
         # more workers than CPUs, each taking a permit every 64 prefixes; a
