@@ -12,30 +12,16 @@ on stderr, then 2 for a ``ValueError`` (bad input, or a pair file that
 cannot be read) and 3 for ``CountBudgetError`` or ``ExpansionBudgetError``.
 ``expand-verify`` exits 1 on ``UnverifiedPairError``, a failing verdict.
 Successful runs write nothing to the error stream.
+
+Each command imports the modules past ``words`` that it uses when it
+runs, so ``count`` and ``check`` load ``words`` alone, the ``pair``
+commands no ``morphism``, and only ``pair search`` loads ``search``.
 """
 
 import argparse
 import sys
 
 from .words import DEFAULT_COUNT_BUDGET, CountBudgetError, count_square_free, find_square, parse_word
-from .triplepair import (
-    _bool_text,
-    builtin_pair,
-    certificate_text,
-    pair_text,
-    parse_pair_text,
-    read_pair_file,
-    verify,
-)
-from .morphism import (
-    DEFAULT_EXPANSION_BUDGET,
-    ExpansionBudgetError,
-    UnverifiedPairError,
-    lower_bound,
-    substitute,
-    verify_expansion,
-)
-from .search import SearchConfig, find_pairs
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -46,6 +32,8 @@ EXIT_BUDGET = 3
 def _load_pair(path: str):
     """The pair in the file ``path``, or on stdin for '-'; unreadable input is
     a usage error.  Both are read as strict UTF-8, whatever the locale."""
+    from .triplepair import parse_pair_text, read_pair_file
+
     try:
         if path == "-":
             return parse_pair_text(sys.stdin.buffer.read().decode())
@@ -72,23 +60,32 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from .morphism import lower_bound
+
     report = lower_bound(args.k)
     print(f"2^(1/{report.exponent_denominator}) = {report.mu_lower_bound:.10g}")
     return EXIT_OK
 
 
 def _cmd_pair_verify(args) -> int:
+    from .triplepair import certificate_text, verify
+
     cert = verify(_load_pair(args.path))
     sys.stdout.write(certificate_text(cert))
     return EXIT_OK if cert.verdict else EXIT_FAIL
 
 
 def _cmd_pair_show_builtin(_args) -> int:
+    from .triplepair import builtin_pair, pair_text
+
     sys.stdout.write(pair_text(builtin_pair()))
     return EXIT_OK
 
 
 def _cmd_pair_search(args) -> int:
+    from .search import SearchConfig, find_pairs
+    from .triplepair import _bool_text, pair_text
+
     outcome = find_pairs(SearchConfig(
         k=args.k,
         shift_symmetry=not args.no_shift,
@@ -113,15 +110,21 @@ def _cmd_pair_search(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    from .morphism import substitute
+
     tp = _load_pair(args.path)
     print(substitute(tp, parse_word(args.word), args.choices))
     return EXIT_OK
 
 
 def _cmd_expand_verify(args) -> int:
+    from .morphism import DEFAULT_EXPANSION_BUDGET, UnverifiedPairError, verify_expansion
+    from .triplepair import _bool_text
+
     tp = _load_pair(args.path)
+    budget = DEFAULT_EXPANSION_BUDGET if args.budget is None else args.budget
     try:
-        report = verify_expansion(tp, args.n, budget=args.budget)
+        report = verify_expansion(tp, args.n, budget=budget)
     except UnverifiedPairError:
         print("error: pair fails verification", file=sys.stderr)
         return EXIT_FAIL
@@ -189,10 +192,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand-verify", help="check all images at length n")
     p.add_argument("path")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_EXPANSION_BUDGET)
+    p.add_argument("--budget", type=int)  # morphism.DEFAULT_EXPANSION_BUDGET when not given
     p.set_defaults(func=_cmd_expand_verify)
 
     return parser
+
+
+def _expansion_budget_error():
+    """``morphism.ExpansionBudgetError``.  An except clause evaluates its
+    classes only when an exception reaches it, so a command that raises
+    none of the errors before it does not load ``morphism`` for it."""
+    from .morphism import ExpansionBudgetError
+
+    return ExpansionBudgetError
 
 
 def main(argv=None) -> int:
@@ -203,9 +215,12 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (ValueError, CountBudgetError, ExpansionBudgetError) as exc:
+    except (ValueError, CountBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_BUDGET
+    except _expansion_budget_error() as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

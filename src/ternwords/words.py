@@ -32,26 +32,27 @@ any length is reachable; it proposes only the two letters that differ from
 the one just placed (a repeated letter is a square).
 
 ``count_square_free`` needs no order, so it tests a whole batch of
-prefixes at once: reversed prefixes of one length, each led by a newline.
-Lines have one width, so ``batch[1 + i :: width]`` is the column of every
-line's i-th letter, which ``_mask`` reads as one int with letter c
-as the bit 1 << c of the line's byte.  a.line starts with a square of
-period p >= 2 exactly when line[p-1] = a and line[t] = line[t+p] for
-every t < p-1.  Two letters that differ have two of the three bits in
-their XOR, so the OR of those p-1 XORs, spread to the neighbouring bits,
-fills the byte of every line with a mismatch, and column p-1 outside them
-holds the letter that closes the square.  ORed over every p and over
-column 0 (a letter equal to the first closes a square of period 1), each
-line's byte holds the letters that cannot extend it; ``compress`` keeps
-the other lines per letter, and ``replace`` puts the letter in front (at
-the last length only their number counts: 3 per line less the mask bits).
-Batches past ``_CAP`` lines are cut and walked depth first.  Subtrees
-share nothing, so forked workers (the package's one pool, in ``_pool``)
-can count the subtrees below the prefixes of a fixed length, which the
-parent reads off the walker, and one node budget, shared while they walk,
-counts the prefixes of all those batches.  A count that ``_least``, a
-lower bound on a(m) proven with the built-in 18-pair, shows to overrun its
-budget fails before it walks (``_overruns_surely``).
+prefixes at once: reversed prefixes of one length, each led by a newline,
+with letter c stored as its bit, the byte 1 << c.  Lines have one width,
+so ``batch[1 + i :: width]`` is the column of every line's i-th letter,
+which ``_mask`` reads as one int as it stands, with no translation.
+a.line starts with a square of period p >= 2 exactly when line[p-1] = a
+and line[t] = line[t+p] for every t < p-1.  Two letters that differ have
+two of the three bits in their XOR, so the OR of those p-1 XORs, spread to
+the neighbouring bits, fills the byte of every line with a mismatch, and
+column p-1 outside them holds the letter that closes the square.  ORed
+over every p and over column 0 (a letter equal to the first closes a
+square of period 1), each line's byte holds the letters that cannot extend
+it; ``_grow`` keeps the other lines per letter with ``compress`` and puts
+the letter in front as it joins them (at the last length only their
+number counts: 3 per line less the mask bits).  Batches past ``_CAP``
+lines are cut and walked depth first.  Subtrees share nothing, so forked
+workers (the package's one pool, in ``_pool``) can count the subtrees
+below the prefixes of a fixed length, which the parent reads off the
+walker and deals into one batch per worker, and one node budget, shared
+while they walk, counts the prefixes of all those batches.  A count that
+``_least``, a lower bound on a(m) proven with the built-in 18-pair, shows
+to overrun its budget fails before it walks (``_overruns_surely``).
 
 ``square_lines`` tests a batch of equal-length lines at once, with no
 separator, for the expansion check.  Column i is read as one base-4 int,
@@ -310,13 +311,13 @@ def _walk(n: int, starts):
             push(LETTER_BYTES[b] + rev)
 
 
-# "\n" and a letter: the start of a batch line, and its first letter.
-_LINE_STARTS = tuple(b"\n" + a for a in LETTER_BYTES)
-
-# Tables of the batch test: a letter's bit, and per letter a whether a
-# line's mask byte lets a in.
+# Tables of the batch test: a letter's bit, which stands for the letter in
+# a batch, and per letter a whether a line's mask byte lets a in.
 _BITS = bytes.maketrans(b"\0\1\2", b"\1\2\4")
 _KEEP = tuple(bytes(not m >> a & 1 for m in range(256)) for a in ALPHABET)
+
+# "\n" and a letter's bit: the start of a batch line, and its first letter.
+_LINE_STARTS = tuple(b"\n" + a.translate(_BITS) for a in LETTER_BYTES)
 
 # The letters as the digits of ``square_lines``' base-4 columns.
 _DIGITS = bytes.maketrans(b"\0\1\2", b"012")
@@ -326,7 +327,7 @@ def _mask(batch: bytes, length: int) -> int:
     """Bit 1 << a of byte i, and no other bit: letter a does not extend line
     i of ``batch`` to a square-free prefix (see the module docstring)."""
     width = length + 1
-    col = [int.from_bytes(batch[1 + i :: width].translate(_BITS), "little") for i in range(length)]
+    col = [int.from_bytes(batch[1 + i :: width], "little") for i in range(length)]
     mask = col[0] if length else 0
     for p in range(2, (length + 1) // 2 + 1):
         diff = 0
@@ -360,14 +361,17 @@ def square_lines(batch: bytes, width: int) -> int:
     return ~free & int(b"1" * (len(batch) // width), 4)
 
 
-def _survivors(batch: bytes, length: int) -> list:
-    """Entry a: the lines of ``batch`` that letter a extends to a
-    square-free prefix, as they are (without a), in batch order.  A line
-    that starts with a is left out, as a would repeat its first letter."""
+def _grow(batch: bytes, length: int) -> bytes:
+    """The batch of the next length: a.line for each line of ``batch`` that
+    letter a extends to a square-free prefix, the lines of a = 0 first, in
+    batch order, then those of 1 and of 2."""
     size = len(batch) // (length + 1)
     lines = batch.split(b"\n")
     marks = b"\0" + _mask(batch, length).to_bytes(size, "little")  # \0: text before line 1
-    return [b"\n".join(compress(lines, marks.translate(_KEEP[a]))) for a in ALPHABET]
+    # the text before line 1 is empty and always kept, so a join that keeps
+    # any line starts with "\n" a
+    return b"".join([_LINE_STARTS[a].join(compress(lines, marks.translate(_KEEP[a])))
+                     for a in ALPHABET])
 
 
 def _count_below(n: int, length: int, batch: bytes, take) -> int:
@@ -383,8 +387,7 @@ def _count_below(n: int, length: int, batch: bytes, take) -> int:
         if length == n - 1:
             words += 3 * size - _mask(batch, length).bit_count()
             continue
-        lines = _survivors(batch, length)
-        batch = b"".join([lines[a].replace(b"\n", _LINE_STARTS[a]) for a in ALPHABET])
+        batch = _grow(batch, length)
         chunk = _CAP * (length + 2)
         stack.extend((length + 1, batch[i : i + chunk]) for i in range(0, len(batch), chunk))
     return words
@@ -444,19 +447,20 @@ def _overruns_surely(n: int, budget: int) -> bool:
 
 
 # Batches hold at most _CAP lines.  With 2^11 .. 2^14, `count 53` peaked at
-# 15.9 / 15.9 / 17.1 / 20.9 MB (57 MB uncapped), and one process took
-# 0.111 / 0.100 / 0.095 / 0.098 s for `_count_below(42, ...)` (best of 9, 2
+# 15.7 / 15.8 / 16.3 / 19.7 MB (273 MB uncapped), and one process took
+# 44.6 / 42.0 / 38.5 / 38.3 ms for `_count_below(42, ...)` (best of 9, 2
 # CPUs, Python 3.11.7).  The parallel count: the parent reads the 0,1
 # class's 24 words of length _SPLIT_DEPTH off the walker (59 shorter
-# prefixes), and each subtree below is one pool task.  In a timed crossover
-# of `count n` on 2 CPUs, Python 3.11, the pool beat one process in 31 of
-# 35 alternating rounds at n = 42 and 15 of 15 at n = 43, but in 0 of 20 at
-# n = 38, 7 of 20 at n = 39 and 20-21 of 35 at n = 40, 41.  A subtree
-# takes a shared permit per _CHUNK prefixes after its first.
+# prefixes) and deals them into one batch per worker, each one pool task.
+# In a timed crossover of `count n` on 2 CPUs, Python 3.11.7, fresh
+# interpreters, the pool beat one process in 3 of 35 alternating rounds at
+# n = 38, 10 of 35 at n = 39, 23 of 35 at n = 40 (medians 50.8 / 51.6 ms),
+# 34 of 35 at n = 41 and 32 of 35 at n = 42 (60.8 / 71.5 ms).  A task takes
+# a shared permit per _CHUNK prefixes after its first.
 _CAP = 4096
 _SPLIT_DEPTH = 10
-_PARALLEL_MIN_N = 42
-_START = b"\n\x01\x00"  # the batch of the word 0, 1
+_PARALLEL_MIN_N = 41
+_START = b"\n\x02\x01"  # the batch of the word 0, 1
 _CHUNK = 4096
 
 
@@ -465,38 +469,42 @@ def _split(take) -> list:
     off the walker; ``take`` is called once with the prefixes of lengths
     2 .. _SPLIT_DEPTH - 1, which ``_count_below`` would have counted."""
     take(sum(_SMALL_COUNTS[2:_SPLIT_DEPTH]) // 6)
-    return [b"\n" + rev for rev in _walk(_SPLIT_DEPTH, (_START[1:],))]
+    # the walker starts from the word 0, 1 reversed, in letters 0, 1, 2
+    return [b"\n" + rev.translate(_BITS) for rev in _walk(_SPLIT_DEPTH, (b"\1\0",))]
 
 
 def _count_subtree(permits, chunk: int, task) -> "tuple[int, int]":
-    """Pool task: the words of length n below one batch line, and the
-    prefixes walked.  The subtree walks ``chunk`` prefixes, then takes a
-    permit for each further chunk it starts.  The caller makes
-    ``left // chunk`` permits, where ``left`` is the budget the subtrees
-    share, so when none is left more than ``left`` prefixes have been
-    walked in all, and the walk stops.  Permits are never waited for or
-    given back, so a worker may be stopped any time."""
-    n, line = task
+    """Pool task: the words of length n below one batch, and the prefixes
+    walked.  The task walks ``chunk`` prefixes, then takes a permit for
+    each further chunk it starts.  The caller makes ``left // chunk``
+    permits, where ``left`` is the budget the tasks share, so when none is
+    left more than ``left`` prefixes have been walked in all, and the walk
+    stops.  Permits are never waited for or given back, so a worker may be
+    stopped any time."""
+    n, length, batch = task
     tally = _Tally(chunk, permits, chunk)
-    return _count_below(n, len(line) - 1, line, tally), tally.walked
+    return _count_below(n, length, batch, tally), tally.walked
 
 
 def _count_parallel(n: int, tally: _Tally) -> int:
-    """Words of length n in the 0,1 class, walked as subtrees on a pool.
-    The prefixes above the split depth are counted in the caller's
-    ``tally``, and the subtrees share what is left of its limit; a bare
-    CountBudgetError stops the pool when they overrun it."""
+    """Words of length n in the 0,1 class, walked on a pool.  The lines at
+    the split depth are dealt round robin into one batch per worker, so no
+    batch is empty.  The prefixes above the split depth are counted in the
+    caller's ``tally``, and the batches share what is left of its limit; a
+    bare CountBudgetError stops the pool when they overrun it."""
     from multiprocessing.synchronize import SEM_VALUE_MAX
 
     from . import _pool
 
-    tasks = [(n, line) for line in _split(tally)]
+    lines = _split(tally)
+    workers = min(_pool.usable_cpus(), len(lines))
+    tasks = [(n, _SPLIT_DEPTH, b"".join(lines[i::workers])) for i in range(workers)]
     left = tally.limit - tally.walked
     chunk = max(_CHUNK, left // SEM_VALUE_MAX + 1)  # so the permits fit
     permits = _pool.context().Semaphore(left // chunk)
     count = functools.partial(_count_subtree, permits, chunk)
     total = 0
-    with closing(_pool.pool_imap(count, tasks, len(tasks))) as results:
+    with closing(_pool.pool_imap(count, tasks, workers)) as results:
         for words, walked in results:
             total += words
             left -= walked
@@ -517,10 +525,10 @@ def count_square_free(n: int, node_budget: int = DEFAULT_COUNT_BUDGET) -> int:
 
     From n = ``_PARALLEL_MIN_N`` on, when this process may use two CPUs
     or more, the walk is split: this process walks the class down to the
-    words of length ``_SPLIT_DEPTH``, and the subtree below each of them
-    is counted in a forked worker process, one per usable CPU.  The
-    subtrees share nothing, so their counts add up.  Otherwise one process
-    walks the whole class.
+    24 words of length ``_SPLIT_DEPTH`` and deals them into one batch per
+    usable CPU (24 at most), and each batch is counted in a forked worker
+    process.  The subtrees below the words share nothing, so their counts
+    add up.  Otherwise one process walks the whole class.
 
     ``node_budget``, ``DEFAULT_COUNT_BUDGET`` unless given, caps the
     prefixes visited, with the same meaning on both paths: the prefixes of
@@ -530,7 +538,7 @@ def count_square_free(n: int, node_budget: int = DEFAULT_COUNT_BUDGET) -> int:
     budget and n.  A count that the built-in pair's lower bound on a(m)
     (``_least``) already shows to overrun fails before it walks.  The
     workers share the budget while they walk, so a parallel count that
-    overruns stops within a few thousand prefixes per subtree of where one
+    overruns stops within a few thousand prefixes per worker of where one
     process would.
     """
     n = operator.index(n)

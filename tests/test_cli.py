@@ -325,7 +325,8 @@ class TestExpandVerify:
             calls.append(tp)
             return verify(tp)
 
-        monkeypatch.setattr(cli, "verify", counted)
+        # the name the commands read when they run, and the expansion's own
+        monkeypatch.setattr(ternwords.triplepair, "verify", counted)
         monkeypatch.setattr(ternwords.morphism, "verify", counted)
         code, out, _ = run(["expand-verify", pair_file, "--n", "2"], capsys)
         assert (code, out) == (0, "total=24 squarefree=true distinct=true\n")

@@ -71,7 +71,7 @@ def test_workers_are_reaped(set_cpus):
     # a result limit stops the pool with shards still queued
     find_pairs(SearchConfig(k=18, first_letter=None, max_results=3, parallel_shards=3))
     assert multiprocessing.active_children() == []
-    assert count_square_free(words._PARALLEL_MIN_N) == 821154
+    assert count_square_free(words._PARALLEL_MIN_N) == 630666  # a(41), the shortest pooled count
     assert multiprocessing.active_children() == []
     # a budget that runs out in the parent's walk, and one in the workers';
     # at n=60 neither is known to be too small before the walk

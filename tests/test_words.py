@@ -27,9 +27,10 @@ from ternwords import (
 from ternwords import _pool, words
 from ternwords.words import (
     SQUARE,
+    _BITS,
     _find_square_scan,
+    _grow,
     _mask,
-    _survivors,
     square_after,
     square_ends_from,
     square_lines,
@@ -347,20 +348,29 @@ class TestSquareLines:
 
 
 def batch(revs) -> bytes:
-    """The count's batch form: each reversed prefix led by a newline."""
-    return b"".join(b"\n" + rev for rev in revs)
+    """The count's batch form: each reversed prefix led by a newline, its
+    letters 0, 1, 2 stored as their bits 1, 2, 4."""
+    return b"".join(b"\n" + rev.translate(_BITS) for rev in revs)
 
 
 def kept_lines(revs, n: int, a: int) -> bytes:
-    """The batch lines that letter a extends, by the prepend form: those
-    that do not start with a and give a.rev no square prefix."""
-    return batch(rev for rev in revs if rev[:1] != bytes((a,)) and square_after(n)[a](rev) is None)
+    """The batch lines that letter a extends, with a in front, by the
+    prepend form: those that do not start with a and give a.rev no square
+    prefix."""
+    return batch(
+        bytes((a,)) + rev for rev in revs if rev[:1] != bytes((a,)) and square_after(n)[a](rev) is None
+    )
+
+
+def grown(revs, n: int) -> bytes:
+    """The next batch of the count: the lines that 0 extends, then 1, then 2."""
+    return b"".join(kept_lines(revs, n, a) for a in (0, 1, 2))
 
 
 class TestBatchFilter:
     """One pass over the batch's columns keeps, per letter a, exactly the
     lines that the prepend form lets a extend, in batch order, leaving out
-    the lines that start with a."""
+    the lines that start with a, and puts a in front of them."""
 
     def test_exhaustive_on_square_free_prefixes_up_to_14(self):
         # the reverse of a square-free word is square-free, so these are
@@ -371,21 +381,21 @@ class TestBatchFilter:
         for n in range(1, 15):
             revs = sorted(bytes(w)[::-1] for w in enumerate_square_free(n))
             shuffled = rng.sample(revs, len(revs))
+            assert _grow(batch(revs), n) == grown(revs, n), n
+            assert _grow(batch(shuffled), n) == grown(shuffled, n), n
             for a in (0, 1, 2):
-                kept = kept_lines(revs, n, a)
-                others = batch(rev for rev in revs if rev[0] != a)
-                assert _survivors(batch(revs), n)[a] == kept, (n, a)
-                assert _survivors(batch(shuffled), n)[a] == kept_lines(shuffled, n, a), (n, a)
-                assert n < 3 or 0 < len(kept) < len(others), (n, a)
+                kept = kept_lines(revs, n, a).count(b"\n")
+                others = sum(rev[0] != a for rev in revs)
+                assert n < 3 or 0 < kept < others, (n, a)
 
     def test_short_lines_and_the_empty_batch(self):
         # every line of 0 to 3 letters, square-free or not, in reverse
         # lexicographic order; below length 3 no period p >= 2 fits
         for n in range(0, 4):
             revs = [bytes(t) for t in itertools.product((2, 1, 0), repeat=n)]
-            assert _survivors(batch(revs), n) == [kept_lines(revs, n, a) for a in (0, 1, 2)], n
+            assert _grow(batch(revs), n) == grown(revs, n), n
         for n in range(0, 6):
-            assert _survivors(b"", n) == [b"", b"", b""], n
+            assert _grow(b"", n) == b"", n
 
     # 2.01201 and 0.21021 are squares of period 3; one line per first letter
     @example(5, [[0, 1, 2, 0, 1] + [0] * 35, [2, 1, 0, 2, 1] + [0] * 35, [1] * 40])
@@ -394,10 +404,9 @@ class TestBatchFilter:
         # lines of one length in any order, square-free or not, starting
         # with any letter, a's own included
         revs = [bytes(row[:n]) for row in rows]
-        kept = [kept_lines(revs, n, a) for a in (0, 1, 2)]
-        assert _survivors(batch(revs), n) == kept
+        assert _grow(batch(revs), n) == grown(revs, n)
         # the count's last length reads only the mask's bits
-        survivors = sum(k.count(b"\n") for k in kept)
+        survivors = sum(kept_lines(revs, n, a).count(b"\n") for a in (0, 1, 2))
         assert 3 * len(revs) - _mask(batch(revs), n).bit_count() == survivors
 
     @given(st.integers(1, 40), st.lists(st.lists(LETTER, min_size=40, max_size=40), max_size=12))
@@ -405,8 +414,7 @@ class TestBatchFilter:
         # a batch of buffers of one length, square-free or not, grouped by
         # first letter in any order within a group
         revs = sorted((bytes(row[:n]) for row in rows), key=lambda rev: rev[0])
-        for a in (0, 1, 2):
-            assert _survivors(batch(revs), n)[a] == kept_lines(revs, n, a)
+        assert _grow(batch(revs), n) == grown(revs, n)
 
 
 class TestIsSquareFree:
@@ -718,8 +726,7 @@ class TestParallelCount:
         # walker's lines are the batch filter's
         grown = words._START
         for length in range(2, words._SPLIT_DEPTH):
-            lines = _survivors(grown, length)
-            grown = b"".join(lines[a].replace(b"\n", b"\n" + bytes((a,))) for a in (0, 1, 2))
+            grown = _grow(grown, length)
         width = words._SPLIT_DEPTH + 1
         assert sorted(starts) == sorted(grown[i : i + width] for i in range(0, len(grown), width))
 
@@ -789,7 +796,7 @@ class TestSharedBudget:
     def test_a_subtree_stops_after_its_permits(self, batches, permits):
         sem = _pool.context().Semaphore(permits)
         with pytest.raises(CountBudgetError):
-            words._count_subtree(sem, 100, (100, words._START))
+            words._count_subtree(sem, 100, (100, 2, words._START))
         # one free chunk and one per permit, and the batch that passed them
         # is the last one walked
         assert sum(batches[:-1]) <= 100 * (permits + 1) < sum(batches)
@@ -798,7 +805,7 @@ class TestSharedBudget:
     def test_a_subtree_that_fits_reports_its_prefixes(self):
         # the walk for a(20) visits 1241 prefixes, in 13 chunks of 100
         sem = _pool.context().Semaphore(100)
-        assert words._count_subtree(sem, 100, (20, words._START)) == (2388 // 6, 1241)
+        assert words._count_subtree(sem, 100, (20, 2, words._START)) == (2388 // 6, 1241)
         for _ in range(100 - 12):
             assert sem.acquire(False)
         assert sem.acquire(False) is False  # only whole chunks took permits
