@@ -9,7 +9,8 @@ Exit codes, shared by every command:
 
 ``main`` alone turns library errors into exit codes: ``error: <message>``
 on stderr, then 2 for a ``ValueError`` (bad input, or a pair file that
-cannot be read) and 3 for ``CountBudgetError`` or ``ExpansionBudgetError``.
+cannot be read) and 3 for a ``BudgetError`` (``CountBudgetError`` or
+``ExpansionBudgetError``).
 ``expand-verify`` exits 1 on ``UnverifiedPairError``, a failing verdict.
 Successful runs write nothing to the error stream.
 
@@ -21,7 +22,7 @@ commands no ``morphism``, and only ``pair search`` loads ``search``.
 import argparse
 import sys
 
-from .words import DEFAULT_COUNT_BUDGET, CountBudgetError, count_square_free, find_square, parse_word
+from .words import DEFAULT_COUNT_BUDGET, BudgetError, count_square_free, find_square, parse_word
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -198,15 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _expansion_budget_error():
-    """``morphism.ExpansionBudgetError``.  An except clause evaluates its
-    classes only when an exception reaches it, so a command that raises
-    none of the errors before it does not load ``morphism`` for it."""
-    from .morphism import ExpansionBudgetError
-
-    return ExpansionBudgetError
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -215,12 +207,9 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (ValueError, CountBudgetError) as exc:
+    except (ValueError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_BUDGET
-    except _expansion_budget_error() as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

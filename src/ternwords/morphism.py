@@ -37,7 +37,7 @@ import itertools
 import operator
 from collections import namedtuple
 
-from .words import Word, enumerate_square_free, find_square, square_lines
+from .words import BudgetError, Word, enumerate_square_free, find_square, square_lines
 from .triplepair import TriplePair, verify
 
 __all__ = [
@@ -61,7 +61,7 @@ DEFAULT_EXPANSION_BUDGET = 10_000_000
 _CHUNK_BYTES = 1 << 16
 
 
-class ExpansionBudgetError(RuntimeError):
+class ExpansionBudgetError(BudgetError):
     """An expansion run would enumerate more images than the budget allows."""
 
 
@@ -74,6 +74,7 @@ BoundReport = namedtuple("BoundReport", "k exponent_denominator mu_lower_bound")
 
 def lower_bound(k: int) -> BoundReport:
     """The growth-rate consequence of a k-pair: mu >= 2 ** (1 / (k - 1))."""
+    k = operator.index(k)
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     return BoundReport(

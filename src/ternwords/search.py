@@ -40,7 +40,8 @@ would end a square, before the longer string is built (a completed U0 gets
 fixed-depth prefixes of the assignment sequence, and record the shards'
 pairs in lexicographic shard order through one searcher's ``_record``, as
 one process would: that keeps the emitted pair set independent of the
-shard count.  The pool never has more workers than shards or CPUs.
+shard count.  The pool never has more workers than shards or CPUs, and
+each of its ``size`` workers runs every ``size``-th shard, in order.
 """
 
 import functools

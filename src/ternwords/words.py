@@ -96,6 +96,7 @@ from itertools import compress
 
 __all__ = [
     "ALPHABET",
+    "BudgetError",
     "CountBudgetError",
     "DEFAULT_COUNT_BUDGET",
     "ParseError",
@@ -157,7 +158,11 @@ class ParseError(ValueError):
 DEFAULT_COUNT_BUDGET = 10**7
 
 
-class CountBudgetError(RuntimeError):
+class BudgetError(RuntimeError):
+    """A run would do more work than its budget allows."""
+
+
+class CountBudgetError(BudgetError):
     """A count visited as many prefixes as its node budget allows."""
 
 

@@ -402,6 +402,10 @@ class TestLowerBound:
             with pytest.raises(ValueError):
                 lower_bound(k)
 
+    def test_rejects_a_float_k(self):
+        with pytest.raises(TypeError):
+            lower_bound(2.5)
+
     def test_strictly_decreasing(self):
         values = [lower_bound(k).mu_lower_bound for k in range(2, 60)]
         assert all(a > b for a, b in zip(values, values[1:]))

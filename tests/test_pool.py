@@ -5,12 +5,13 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from contextlib import closing
 
 import pytest
 
 from ternwords import CountBudgetError, SearchConfig, count_square_free, find_pairs
-from ternwords import words
+from ternwords import _pool, words
 from ternwords._pool import pool_imap
 
 from test_cli import _child_env
@@ -26,6 +27,13 @@ def _fail_on_three(x):
     return x
 
 
+def _slow_first_then_big(x):
+    if x == 0:
+        time.sleep(0.3)
+        return x
+    return bytes([x]) * (2 * 10**6)
+
+
 class TestPoolImap:
     def test_results_come_in_task_order(self):
         assert list(pool_imap(_square, list(range(50)), 2)) == [x * x for x in range(50)]
@@ -39,6 +47,23 @@ class TestPoolImap:
     def test_a_task_error_reaches_the_caller(self):
         with pytest.raises(ValueError):
             list(pool_imap(_fail_on_three, list(range(10)), 2))
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_runs_ahead_waits_for_its_turn(self, set_cpus):
+        # worker 1's 2 MB results fill its pipe while task 0 sleeps on
+        # worker 0; it blocks until they are due, and nothing is lost
+        set_cpus(2)
+        results = list(pool_imap(_slow_first_then_big, list(range(6)), 2))
+        assert results == [0] + [bytes([x]) * (2 * 10**6) for x in range(1, 6)]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        _pool.context().get_start_method() != "fork", reason="tasks reach workers by fork"
+    )
+    def test_tasks_need_not_pickle(self, set_cpus):
+        set_cpus(2)
+        tasks = [lambda x=x: x * x for x in range(5)]  # local functions do not pickle
+        assert list(pool_imap(lambda task: task(), tasks, 2)) == [x * x for x in range(5)]
         assert multiprocessing.active_children() == []
 
 
@@ -68,7 +93,7 @@ def test_workers_are_reaped(set_cpus):
     set_cpus(2)
     find_pairs(SearchConfig(k=18, first_letter=None, parallel_shards=2))
     assert multiprocessing.active_children() == []
-    # a result limit stops the pool with shards still queued
+    # a result limit stops the pool while workers have shards left to run
     find_pairs(SearchConfig(k=18, first_letter=None, max_results=3, parallel_shards=3))
     assert multiprocessing.active_children() == []
     assert count_square_free(words._PARALLEL_MIN_N) == 630666  # a(41), the shortest pooled count
