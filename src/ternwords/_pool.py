@@ -1,33 +1,28 @@
 """The package's one process pool: ordered results of a function over tasks.
 
 ``pool_imap`` is a generator; wrap it in ``contextlib.closing`` so that a
-caller that stops early stops the workers at once.  Workers are forked, so
-a task function and its tasks need no pickling or re-import and start in
-the caller's state.  ``multiprocessing`` is imported when the generator
-starts, so commands that never use the pool do not pay for it.
+caller that stops early stops the workers at once.  Workers are made with
+``os.fork``, so tasks need no pickling; only results are.  A pool of one
+worker runs in the caller, as it must where there is no fork.
 
-Results come in task order because a sharded search needs it: with a
-result limit it must keep the first pairs of the one-process order, and
-report the same node count on every run.
+Results come in task order, as a sharded search with a result limit must
+keep the first pairs of the one-process order.  Worker ``w`` of ``size``
+inherits ``tasks[w::size]`` and writes one result per task, in order, to a
+pipe of its own; result ``i`` is the next on worker ``i % size``'s pipe,
+and a worker that runs ahead blocks on its full pipe.  Dealing the tasks
+up front is enough: ``count`` makes one task per worker, and a search aims
+at four shards or more per worker, so the slices come out with close loads.
 
-Worker ``w`` of ``size`` inherits its tasks, ``tasks[w::size]``, through
-fork, and sends the caller one result per task, in order, over a one-way
-pipe of its own; nothing is sent to a worker.  Result ``i`` is the next one
-on worker ``i % size``'s pipe, so the caller reads the results in task
-order and keeps none that came early: a worker that runs ahead blocks on
-its full pipe until its results are due.  Dealing the tasks before any
-runs is enough for the pool's traffic: ``count`` makes one task per
-worker, and the shard scan of a search aims at four shards or more per
-worker, so that the round-robin slices come out with close loads.
-
-A worker shares no lock with anything, so it can be killed at any moment.
-``multiprocessing.Pool`` does not allow that: its workers send results
-under one shared lock, and ``Pool.terminate()`` can kill a worker that
-holds it, after which the pool's task thread waits for the lock forever.
-A count stopped by its budget hung that way.
+A worker shares no lock, so it can be killed at any moment (the count's
+budget is a pipe of tokens that never blocks, ``words._token_pipe``);
+``multiprocessing.Pool.terminate()`` can kill a worker holding the lock its
+workers send under, then wait for that lock forever.  Each worker is
+reaped and each pipe closed whatever happens, and a worker that dies
+before a result due from it is named, with its exit code or signal.
 """
 
 import os
+import pickle
 
 
 def usable_cpus() -> int:
@@ -38,61 +33,74 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def context():
-    """The ``multiprocessing`` context the pool's workers start in; shared
-    objects that a task function takes must come from it."""
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover
-        return multiprocessing.get_context()
-
-
 def pool_imap(fn, tasks: list, workers: int):
     """Yield ``fn(task)`` for each task, in task order, computed by at most
     ``min(workers, len(tasks), usable_cpus())`` worker processes.
 
     An exception raised by ``fn`` reaches the caller when its result is
-    due.  After the last result each worker exits on its own and is joined;
-    closing the generator before that, or an exception, terminates the
-    workers and joins them instead.
+    due.  After the last result each worker exits on its own and is reaped;
+    closing the generator before that, or an exception, kills the workers
+    and reaps them instead.
     """
     return _imap(fn, tasks, min(workers, len(tasks), usable_cpus()))
 
 
 def _imap(fn, tasks: list, size: int):
-    ctx = context()
-    procs = []
-    finished = False
+    if size < 2 or not hasattr(os, "fork"):
+        yield from map(fn, tasks)
+        return
+    workers, finished, lost = [], False, None  # workers: (pid, result pipe)
     try:
         for w in range(size):
-            conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_serve, args=(fn, tasks[w::size], child_conn), daemon=True)
-            proc.start()
-            child_conn.close()
-            procs.append((proc, conn))
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _serve(fn, tasks[w::size], write)  # never returns
+            os.close(write)
+            workers.append((pid, open(read, "rb")))
         for due in range(len(tasks)):
-            ok, value = procs[due % size][1].recv()
+            try:
+                ok, value = pickle.load(workers[due % size][1])
+            except (EOFError, pickle.UnpicklingError):  # the worker died
+                lost = due
+                break
             if not ok:
                 raise value
             yield value
-        finished = True
+        else:
+            finished = True
     finally:
-        for proc, conn in procs:
-            if not finished:
-                proc.terminate()
-            proc.join()
-            proc.close()  # its sentinel pipe, else open until collected
-            conn.close()
+        codes = []
+        for pid, results in workers:
+            if not finished:  # a worker that has exited keeps its status
+                os.kill(pid, 9)  # SIGKILL
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+            results.close()
+    if lost is not None:
+        code = codes[lost % size]
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+        raise RuntimeError(f"pool worker {lost % size} of {size} {how} before task {lost}'s result")
 
 
-def _serve(fn, tasks, conn):
-    """Worker: send ``(True, fn(task))`` for each task in turn, or
-    ``(False, error)`` for the first that raises, and stop there."""
-    for task in tasks:
-        try:
-            conn.send((True, fn(task)))
-        except Exception as exc:  # handed to the caller, which raises it
-            conn.send((False, exc))
-            return
+def _serve(fn, tasks, fd):
+    """Worker: write ``(True, fn(task))`` for each task in turn, or
+    ``(False, error)`` for the first that raises or does not pickle, then
+    leave through ``os._exit`` (none of the caller's cleanup), 1 on a fault."""
+    code = 1
+    try:
+        with open(fd, "wb") as out:
+            for task in tasks:
+                try:
+                    out.write(pickle.dumps((True, fn(task))))
+                except Exception as exc:  # handed to the caller, which raises it
+                    out.write(pickle.dumps((False, exc)))
+                    break
+                out.flush()
+        code = 0
+    finally:
+        os._exit(code)

@@ -50,7 +50,7 @@ lines are cut and walked depth first.  Subtrees share nothing, so forked
 workers (the package's one pool, in ``_pool``) can count the subtrees
 below the prefixes of a fixed length, which the parent reads off the
 walker and deals into one batch per worker, and one node budget, shared
-while they walk, counts the prefixes of all those batches.  A count that
+while they walk as tokens in a pipe, counts their prefixes.  A count that
 ``_least``, a lower bound on a(m) proven with the built-in 18-pair, shows
 to overrun its budget fails before it walks (``_overruns_surely``).
 
@@ -88,6 +88,7 @@ such containers serve membership tests and sizes only.
 
 import functools
 import operator
+import os
 import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
@@ -387,29 +388,30 @@ def _count_below(n: int, length: int, batch: bytes, take) -> int:
     words = 0
     while stack:
         length, batch = stack.pop()
+        chunk = _CAP * (length + 1)  # past _CAP lines the rest waits on the stack
+        stack.extend((length, batch[i : i + chunk]) for i in range(chunk, len(batch), chunk))
+        batch = batch[:chunk]
         size = len(batch) // (length + 1)
         take(size)
         if length == n - 1:
             words += 3 * size - _mask(batch, length).bit_count()
             continue
-        batch = _grow(batch, length)
-        chunk = _CAP * (length + 2)
-        stack.extend((length + 1, batch[i : i + chunk]) for i in range(0, len(batch), chunk))
+        stack.append((length + 1, _grow(batch, length)))
     return words
 
 
 class _Tally:
     """The ``take`` of ``_count_below``: counts the prefixes walked, and
-    past ``limit`` raises a bare CountBudgetError, unless it can take one
-    of the shared ``permits`` (a semaphore) to walk ``chunk`` more."""
+    past ``limit`` raises a bare CountBudgetError, unless it can read one
+    of the shared ``tokens`` (see ``_token_pipe``) to walk ``chunk`` more."""
 
-    def __init__(self, limit, permits=None, chunk=0):
-        self.walked, self.limit, self.permits, self.chunk = 0, limit, permits, chunk
+    def __init__(self, limit, tokens=None, chunk=0):
+        self.walked, self.limit, self.tokens, self.chunk = 0, limit, tokens, chunk
 
     def __call__(self, prefixes: int) -> None:
         self.walked += prefixes
         while self.walked > self.limit:
-            if self.permits is None or not self.permits.acquire(False):
+            if self.tokens is None or not self.tokens.read(1):
                 raise CountBudgetError
             self.limit += self.chunk
 
@@ -455,16 +457,15 @@ def _overruns_surely(n: int, budget: int) -> bool:
 # 15.7 / 15.8 / 16.3 / 19.7 MB (273 MB uncapped), and one process took
 # 44.6 / 42.0 / 38.5 / 38.3 ms for `_count_below(42, ...)` (best of 9, 2
 # CPUs, Python 3.11.7).  The parallel count: the parent reads the 0,1
-# class's 24 words of length _SPLIT_DEPTH off the walker (59 shorter
-# prefixes) and deals them into one batch per worker, each one pool task.
-# In a timed crossover of `count n` on 2 CPUs, Python 3.11.7, fresh
-# interpreters, the pool beat one process in 3 of 35 alternating rounds at
-# n = 38, 10 of 35 at n = 39, 23 of 35 at n = 40 (medians 50.8 / 51.6 ms),
-# 34 of 35 at n = 41 and 32 of 35 at n = 42 (60.8 / 71.5 ms).  A task takes
-# a shared permit per _CHUNK prefixes after its first.
+# class's 76 words of length _SPLIT_DEPTH off the walker (218 shorter
+# prefixes) and deals them into one batch per worker, each one pool task
+# (the longer of 2 shares of a(42) takes 20.4 ms, best of 9; 21.6 ms at
+# depth 10, with 24 words).  In alternating rounds of `count n` on 2 CPUs (Python 3.11.7,
+# fresh interpreters) the pool beat one process 20/35 times at n = 36,
+# 30/35 at n = 37 (34.6 / 35.8 ms) and 35/35 at n = 38 (36.1 / 39.4 ms).
 _CAP = 4096
-_SPLIT_DEPTH = 10
-_PARALLEL_MIN_N = 41
+_SPLIT_DEPTH = 14
+_PARALLEL_MIN_N = 38
 _START = b"\n\x02\x01"  # the batch of the word 0, 1
 _CHUNK = 4096
 
@@ -478,16 +479,24 @@ def _split(take) -> list:
     return [b"\n" + rev.translate(_BITS) for rev in _walk(_SPLIT_DEPTH, (b"\1\0",))]
 
 
-def _count_subtree(permits, chunk: int, task) -> "tuple[int, int]":
+def _token_pipe(tokens: int):
+    """A pipe's read end as a file, with ``tokens`` bytes in it and no write
+    end open: ``read(1)`` takes a token, atomically, and never blocks."""
+    read, write = os.pipe()
+    os.write(write, bytes(tokens))
+    os.close(write)
+    return open(read, "rb", buffering=0)
+
+
+def _count_subtree(tokens, chunk: int, task) -> "tuple[int, int]":
     """Pool task: the words of length n below one batch, and the prefixes
-    walked.  The task walks ``chunk`` prefixes, then takes a permit for
-    each further chunk it starts.  The caller makes ``left // chunk``
-    permits, where ``left`` is the budget the tasks share, so when none is
-    left more than ``left`` prefixes have been walked in all, and the walk
-    stops.  Permits are never waited for or given back, so a worker may be
-    stopped any time."""
+    walked.  The task walks ``chunk`` prefixes, then reads a token for each
+    further chunk it starts.  The caller makes ``left // chunk`` tokens,
+    ``left`` being the budget the tasks share, so when none is left more
+    than ``left`` prefixes have been walked in all, and the walk stops.
+    Tokens are never waited for or given back: a worker may be stopped any time."""
     n, length, batch = task
-    tally = _Tally(chunk, permits, chunk)
+    tally = _Tally(chunk, tokens, chunk)
     return _count_below(n, length, batch, tally), tally.walked
 
 
@@ -497,24 +506,22 @@ def _count_parallel(n: int, tally: _Tally) -> int:
     batch is empty.  The prefixes above the split depth are counted in the
     caller's ``tally``, and the batches share what is left of its limit; a
     bare CountBudgetError stops the pool when they overrun it."""
-    from multiprocessing.synchronize import SEM_VALUE_MAX
-
     from . import _pool
 
     lines = _split(tally)
     workers = min(_pool.usable_cpus(), len(lines))
     tasks = [(n, _SPLIT_DEPTH, b"".join(lines[i::workers])) for i in range(workers)]
     left = tally.limit - tally.walked
-    chunk = max(_CHUNK, left // SEM_VALUE_MAX + 1)  # so the permits fit
-    permits = _pool.context().Semaphore(left // chunk)
-    count = functools.partial(_count_subtree, permits, chunk)
+    chunk = max(_CHUNK, left // 4096 + 1)  # under 4096 tokens: a page, which a pipe holds
     total = 0
-    with closing(_pool.pool_imap(count, tasks, workers)) as results:
-        for words, walked in results:
-            total += words
-            left -= walked
-            if left < 0:
-                raise CountBudgetError
+    with _token_pipe(left // chunk) as tokens:
+        count = functools.partial(_count_subtree, tokens, chunk)
+        with closing(_pool.pool_imap(count, tasks, workers)) as results:
+            for words, walked in results:
+                total += words
+                left -= walked
+                if left < 0:
+                    raise CountBudgetError
     return total
 
 
@@ -530,8 +537,8 @@ def count_square_free(n: int, node_budget: int = DEFAULT_COUNT_BUDGET) -> int:
 
     From n = ``_PARALLEL_MIN_N`` on, when this process may use two CPUs
     or more, the walk is split: this process walks the class down to the
-    24 words of length ``_SPLIT_DEPTH`` and deals them into one batch per
-    usable CPU (24 at most), and each batch is counted in a forked worker
+    76 words of length ``_SPLIT_DEPTH`` and deals them into one batch per
+    usable CPU (76 at most), and each batch is counted in a forked worker
     process.  The subtrees below the words share nothing, so their counts
     add up.  Otherwise one process walks the whole class.
 

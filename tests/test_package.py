@@ -39,6 +39,23 @@ def test_the_cli_imports_no_heavy_modules():
     assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
 
 
+def test_the_pool_loads_no_multiprocessing():
+    # two CPUs forced, so that both runs fork workers
+    src = str(Path(ternwords.__file__).resolve().parents[1])
+    for run in (
+        "count_square_free(42) == 821154",
+        "find_pairs(SearchConfig(k=18, parallel_shards=2)).exhausted",
+    ):
+        code = (
+            f"import os, sys; sys.path.insert(0, {src!r})\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}; os.cpu_count = lambda: 2\n"
+            f"from ternwords import *; assert {run}\n"
+            "print('ternwords._pool' in sys.modules, 'multiprocessing' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+        assert (out.returncode, out.stdout, out.stderr) == (0, "True False\n", ""), run
+
+
 def loaded_after(code: str) -> list:
     """The package's modules loaded once ``code`` has run in a fresh
     interpreter, under -S as above."""

@@ -24,7 +24,7 @@ from ternwords import (
     reverse,
     shift,
 )
-from ternwords import _pool, words
+from ternwords import words
 from ternwords.words import (
     SQUARE,
     _BITS,
@@ -588,7 +588,7 @@ class TestBatchCount:
         monkeypatch.setattr(words, "_PARALLEL_MIN_N", words._SPLIT_DEPTH + 1)
         monkeypatch.setattr(words, "_CAP", 16)
         assert count_square_free(30, node_budget=walked(30)) == 34422
-        assert sum(batches) == walked(30) - 59  # the parent walks 59 prefixes
+        assert sum(batches) == walked(30) - 218  # the parent walks 218 prefixes
         assert max(batches) <= 16
         assert pool_sizes == [2]
 
@@ -718,10 +718,10 @@ class TestParallelCount:
         monkeypatch.setattr(words, "_PARALLEL_MIN_N", words._SPLIT_DEPTH + 1)
 
     def test_split(self):
-        tally = words._Tally(59)  # the prefixes above the split depth fit
+        tally = words._Tally(218)  # the prefixes above the split depth fit
         starts = words._split(tally)
-        assert len(starts) == 24
-        assert tally.walked == 59  # prefixes the parent walks
+        assert len(starts) == 76
+        assert tally.walked == 218  # prefixes the parent walks
         # the count's own batch growth from the word 0, 1, restated: the
         # walker's lines are the batch filter's
         grown = words._START
@@ -753,10 +753,10 @@ class TestParallelCount:
         ):
             count_square_free(20, node_budget=1240)
 
-    @pytest.mark.parametrize("budget", [0, 58, 59, 100, 10**5])
+    @pytest.mark.parametrize("budget", [0, 58, 59, 100, 217, 218, 10**5])
     def test_budget_error_names_the_callers_budget(self, set_cpus, budget):
-        # the parent walks 59 prefixes to the split depth; from 59 on, the
-        # budget runs out in a subtree, inside a worker
+        # the parent walks 218 prefixes to the split depth; from 218 on,
+        # the budget runs out in a subtree, inside a worker
         set_cpus(2)
         with pytest.raises(
             CountBudgetError,
@@ -764,7 +764,7 @@ class TestParallelCount:
         ):
             count_square_free(42, node_budget=budget)
 
-    @pytest.mark.parametrize("cpus,sizes", [(2, [2]), (3, [3]), (10**6, [24]), (1, []), (None, [])])
+    @pytest.mark.parametrize("cpus,sizes", [(2, [2]), (3, [3]), (10**6, [76]), (1, []), (None, [])])
     def test_pool_size(self, set_cpus, pool_sizes, cpus, sizes):
         n = words._PARALLEL_MIN_N
         set_cpus(cpus)
@@ -786,29 +786,50 @@ class TestParallelCount:
 
 
 class TestSharedBudget:
-    """A budgeted subtree takes a shared permit for every whole chunk it
+    """A budgeted subtree reads a shared token for every whole chunk it
     walks after its first, and stops when none is left, so the workers of
     a count that overruns stop near the budget.  The walk counts a whole
     batch at a time, so it stops after the batch that passes its last
     chunk."""
 
+    @pytest.fixture()
+    def token_pipe(self):
+        """Make a token pipe with ``words._token_pipe``, closed after the test."""
+        made = []
+        yield lambda tokens: made.append(words._token_pipe(tokens)) or made[-1]
+        for tokens in made:
+            tokens.close()
+
     @pytest.mark.parametrize("permits", [0, 1, 3])
-    def test_a_subtree_stops_after_its_permits(self, batches, permits):
-        sem = _pool.context().Semaphore(permits)
+    def test_a_subtree_stops_after_its_permits(self, batches, token_pipe, permits):
+        tokens = token_pipe(permits)
         with pytest.raises(CountBudgetError):
-            words._count_subtree(sem, 100, (100, 2, words._START))
-        # one free chunk and one per permit, and the batch that passed them
+            words._count_subtree(tokens, 100, (100, 2, words._START))
+        # one free chunk and one per token, and the batch that passed them
         # is the last one walked
         assert sum(batches[:-1]) <= 100 * (permits + 1) < sum(batches)
-        assert sem.acquire(False) is False
+        assert tokens.read(1) == b""  # none left, and the read did not wait
 
-    def test_a_subtree_that_fits_reports_its_prefixes(self):
+    def test_a_subtree_that_fits_reports_its_prefixes(self, token_pipe):
         # the walk for a(20) visits 1241 prefixes, in 13 chunks of 100
-        sem = _pool.context().Semaphore(100)
-        assert words._count_subtree(sem, 100, (20, 2, words._START)) == (2388 // 6, 1241)
-        for _ in range(100 - 12):
-            assert sem.acquire(False)
-        assert sem.acquire(False) is False  # only whole chunks took permits
+        tokens = token_pipe(100)
+        assert words._count_subtree(tokens, 100, (20, 2, words._START)) == (2388 // 6, 1241)
+        assert tokens.read(100) == bytes(100 - 12)  # only whole chunks took tokens
+        assert tokens.read(1) == b""
+
+    @pytest.mark.parametrize("budget,chunk", [
+        (452767, 4096), (words.DEFAULT_COUNT_BUDGET, 4096), (10**12, 10**12 // 4096 + 1),
+    ])
+    def test_the_tokens_fit_a_page(self, monkeypatch, set_cpus, budget, chunk):
+        # fewer than 4096 tokens, so the parent's one write never blocks;
+        # at the default budget a token stands for 4096 prefixes
+        set_cpus(2)
+        made = []
+        token_pipe = words._token_pipe
+        monkeypatch.setattr(words, "_token_pipe", lambda tokens: made.append(tokens) or token_pipe(tokens))
+        assert count_square_free(42, node_budget=budget) == 821154
+        assert made == [(budget - 218) // chunk]
+        assert made[0] < 4096
 
     def test_many_workers_share_the_budget(self, monkeypatch, set_cpus):
         # more workers than CPUs, each taking a permit every 64 prefixes; a
@@ -828,7 +849,7 @@ class TestSharedBudget:
         budget = 10 * words._CHUNK
         with pytest.raises(CountBudgetError, match="node budget of 40960 "):
             count_square_free(100, node_budget=budget)
-        walked = 59 + sum(batches)  # the parent walks 59 prefixes
+        walked = 218 + sum(batches)  # the parent walks 218 prefixes
         assert budget < walked <= budget + words._CHUNK + batches[-1]
         assert batches[-1] <= words._CAP
         assert pool_sizes == [2]
