@@ -93,13 +93,17 @@ def _serve(fn, tasks, fd):
     leave through ``os._exit`` (none of the caller's cleanup), 1 on a fault."""
     code = 1
     try:
-        with open(fd, "wb") as out:
-            for task in tasks:
+        out = open(fd, "wb")  # left to os._exit, so at its end the exit code is set
+        for task in tasks:
+            try:
+                out.write(pickle.dumps((True, fn(task))))
+            except Exception as exc:  # handed to the caller, which raises it
                 try:
-                    out.write(pickle.dumps((True, fn(task))))
-                except Exception as exc:  # handed to the caller, which raises it
                     out.write(pickle.dumps((False, exc)))
-                    break
+                except Exception:  # an error that does not pickle goes as its repr
+                    out.write(pickle.dumps((False, RuntimeError(repr(exc)))))
+                break
+            finally:
                 out.flush()
         code = 0
     finally:

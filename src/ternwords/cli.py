@@ -210,7 +210,3 @@ def main(argv=None) -> int:
     except (ValueError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_BUDGET
-
-
-if __name__ == "__main__":
-    sys.exit(main())

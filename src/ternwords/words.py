@@ -48,8 +48,8 @@ the letter in front as it joins them (at the last length only their
 number counts: 3 per line less the mask bits).  Batches past ``_CAP``
 lines are cut and walked depth first.  Subtrees share nothing, so forked
 workers (the package's one pool, in ``_pool``) can count the subtrees
-below the prefixes of a fixed length, which the parent reads off the
-walker and deals into one batch per worker, and one node budget, shared
+below the prefixes of a fixed length, which the parent grows with
+``_grow`` and deals into one batch per worker, and one node budget, shared
 while they walk as tokens in a pipe, counts their prefixes.  A count that
 ``_least``, a lower bound on a(m) proven with the built-in 18-pair, shows
 to overrun its budget fails before it walks (``_overruns_surely``).
@@ -456,9 +456,9 @@ def _overruns_surely(n: int, budget: int) -> bool:
 # Batches hold at most _CAP lines.  With 2^11 .. 2^14, `count 53` peaked at
 # 15.7 / 15.8 / 16.3 / 19.7 MB (273 MB uncapped), and one process took
 # 44.6 / 42.0 / 38.5 / 38.3 ms for `_count_below(42, ...)` (best of 9, 2
-# CPUs, Python 3.11.7).  The parallel count: the parent reads the 0,1
-# class's 76 words of length _SPLIT_DEPTH off the walker (218 shorter
-# prefixes) and deals them into one batch per worker, each one pool task
+# CPUs, Python 3.11.7).  The parallel count: the parent grows the 0,1
+# class's 76 words of length _SPLIT_DEPTH (218 shorter prefixes) and
+# deals them into one batch per worker, each one pool task
 # (the longer of 2 shares of a(42) takes 20.4 ms, best of 9; 21.6 ms at
 # depth 10, with 24 words).  In alternating rounds of `count n` on 2 CPUs (Python 3.11.7,
 # fresh interpreters) the pool beat one process 20/35 times at n = 36,
@@ -471,12 +471,14 @@ _CHUNK = 4096
 
 
 def _split(take) -> list:
-    """The batch lines of the 0,1 class at length ``_SPLIT_DEPTH``, read
-    off the walker; ``take`` is called once with the prefixes of lengths
-    2 .. _SPLIT_DEPTH - 1, which ``_count_below`` would have counted."""
-    take(sum(_SMALL_COUNTS[2:_SPLIT_DEPTH]) // 6)
-    # the walker starts from the word 0, 1 reversed, in letters 0, 1, 2
-    return [b"\n" + rev.translate(_BITS) for rev in _walk(_SPLIT_DEPTH, (b"\1\0",))]
+    """The batch lines of the 0,1 class at length ``_SPLIT_DEPTH``, grown
+    from ``_START``; ``take`` is called with the size of each shorter
+    batch, as ``_count_below`` calls it."""
+    batch, width = _START, _SPLIT_DEPTH + 1
+    for length in range(2, _SPLIT_DEPTH):
+        take(len(batch) // (length + 1))
+        batch = _grow(batch, length)
+    return [batch[i : i + width] for i in range(0, len(batch), width)]
 
 
 def _token_pipe(tokens: int):
@@ -502,10 +504,10 @@ def _count_subtree(tokens, chunk: int, task) -> "tuple[int, int]":
 
 def _count_parallel(n: int, tally: _Tally) -> int:
     """Words of length n in the 0,1 class, walked on a pool.  The lines at
-    the split depth are dealt round robin into one batch per worker, so no
-    batch is empty.  The prefixes above the split depth are counted in the
-    caller's ``tally``, and the batches share what is left of its limit; a
-    bare CountBudgetError stops the pool when they overrun it."""
+    the split depth are dealt round robin into one batch per usable CPU, so
+    no batch is empty.  The caller's ``tally`` counts the prefixes above the
+    split depth, and the batches share what is left of its limit; a bare
+    CountBudgetError stops the pool when they overrun it."""
     from . import _pool
 
     lines = _split(tally)
@@ -535,23 +537,23 @@ def count_square_free(n: int, node_budget: int = DEFAULT_COUNT_BUDGET) -> int:
     preserve square-freeness.  So only the 0,1 class is walked and the
     count is multiplied by 6.
 
-    From n = ``_PARALLEL_MIN_N`` on, when this process may use two CPUs
-    or more, the walk is split: this process walks the class down to the
-    76 words of length ``_SPLIT_DEPTH`` and deals them into one batch per
-    usable CPU (76 at most), and each batch is counted in a forked worker
-    process.  The subtrees below the words share nothing, so their counts
-    add up.  Otherwise one process walks the whole class.
+    From n = ``_PARALLEL_MIN_N`` on the walk is split: this process grows
+    the class to the 76 words of length ``_SPLIT_DEPTH`` and deals them
+    into one batch per usable CPU (76 at most), and each batch is counted
+    in a forked worker process, or in this one when it may use one CPU
+    only.  The subtrees below the words share nothing, so their counts add
+    up.  Below that n this process walks the whole class.
 
     ``node_budget``, ``DEFAULT_COUNT_BUDGET`` unless given, caps the
-    prefixes visited, with the same meaning on both paths: the prefixes of
-    the parent's walk plus those of every subtree equal the one-process
+    prefixes visited, with the same meaning on both paths: the prefixes
+    the parent grows plus those of every subtree equal the one-process
     count, a(m)/6 summed over m = 2 .. n-1, and the count succeeds exactly
     when that total is at most it.  Otherwise CountBudgetError names the
     budget and n.  A count that the built-in pair's lower bound on a(m)
     (``_least``) already shows to overrun fails before it walks.  The
-    workers share the budget while they walk, so a parallel count that
+    workers share the budget while they walk, so a split count that
     overruns stops within a few thousand prefixes per worker of where one
-    process would.
+    walk would.
     """
     n = operator.index(n)
     if n < 0:
@@ -565,10 +567,7 @@ def count_square_free(n: int, node_budget: int = DEFAULT_COUNT_BUDGET) -> int:
         if _overruns_surely(n, node_budget):
             raise CountBudgetError
         if n >= _PARALLEL_MIN_N:
-            from . import _pool  # here, so that commands without a pool do not load it
-
-            if _pool.usable_cpus() >= 2:
-                return 6 * _count_parallel(n, tally)
+            return 6 * _count_parallel(n, tally)
         return 6 * _count_below(n, 2, _START, tally)
     except CountBudgetError:
         raise CountBudgetError(

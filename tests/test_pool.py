@@ -11,7 +11,7 @@ from contextlib import closing, contextmanager
 import pytest
 
 from ternwords import CountBudgetError, SearchConfig, count_square_free, find_pairs
-from ternwords import words
+from ternwords import _pool, words
 from ternwords._pool import pool_imap
 
 from test_cli import _child_env
@@ -70,6 +70,18 @@ def _no_pickle_on_three(x):
     return (x for x in ()) if x == 3 else x  # a generator does not pickle
 
 
+def _error_that_does_not_pickle_on_three(x):
+    if x == 3:
+        raise ValueError(lambda: 0)  # a lambda does not pickle
+    return x
+
+
+def _no_pickle_after_one(x):
+    if x == 1:
+        _pool.pickle = None  # in worker 1 only: its next result, task 3's, cannot be written
+    return x
+
+
 def _slow_first_then_big(x):
     if x == 0:
         time.sleep(0.3)
@@ -123,6 +135,31 @@ class TestPoolImap:
                 match=rf"^pool worker 1 of 2 {how} before task 3's result$",
             ) as failed:  # its traceback keeps the pool's frame alive
                 next(results)
+        assert failed.type is RuntimeError
+
+    def test_an_error_that_does_not_pickle_keeps_its_text(self, set_cpus):
+        set_cpus(2)
+        with leaves_nothing_behind():
+            with pytest.raises(
+                RuntimeError,
+                match=r"^ValueError\(<function _error_that_does_not_pickle_on_three"
+                      r"\.<locals>\.<lambda> at 0x[0-9a-f]+>\)$",
+            ) as failed:
+                list(pool_imap(_error_that_does_not_pickle_on_three, list(range(10)), 2))
+        assert failed.type is RuntimeError
+
+    def test_a_worker_that_cannot_write_is_named_by_its_exit_code(self, set_cpus):
+        # the worker exits 1 when its pipe reaches its end; had it closed
+        # the pipe itself first, the caller could kill it in between and
+        # name the signal instead
+        set_cpus(2)
+        with leaves_nothing_behind():
+            for _ in range(20):
+                with pytest.raises(
+                    RuntimeError,
+                    match=r"^pool worker 1 of 2 exited with code 1 before task 3's result$",
+                ) as failed:
+                    list(pool_imap(_no_pickle_after_one, list(range(10)), 2))
         assert failed.type is RuntimeError
 
     def test_a_result_that_does_not_pickle_is_an_error(self, set_cpus):

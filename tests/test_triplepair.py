@@ -535,7 +535,7 @@ class TestVerifyAgainstOracle:
             for i, tp in enumerate(search_leaves(monkeypatch, config)):
                 assert_lazy_certificate(tp, LAZY_CHECKS[i % 2])
 
-    def test_checks_are_frozen_and_shared(self, builtin):
+    def test_certificates_are_read_only_and_rebuilt_equal(self, builtin):
         cert = verify(tiny_pair())
         for obj, field in (
             (cert.concat_results[0], "witness"),
@@ -556,7 +556,7 @@ class TestVerifyAgainstOracle:
             # equal, not one object: the checks are built when read
             assert all(a == b for a, b in checks)
 
-    def test_cold_and_warm_cache(self, builtin):
+    def test_repeated_certificates_match_the_reference(self, builtin):
         pairs = [builtin, tiny_pair(), *symmetric_pairs(enumerate_square_free(4))]
         expected = [reference_certificate(tp) for tp in pairs]
         cold = [certificate_text(verify(tp)) for tp in pairs]

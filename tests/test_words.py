@@ -707,9 +707,9 @@ class TestBudgetPreCheck:
 
 
 class TestParallelCount:
-    """From _PARALLEL_MIN_N on, with two usable CPUs or more,
-    count_square_free sums the subtrees below the split depth on a pool,
-    with the one-process count and budget outcome."""
+    """From _PARALLEL_MIN_N on, count_square_free sums the subtrees below
+    the split depth on a pool of one worker per usable CPU, with the
+    one-process count and budget outcome."""
 
     @pytest.fixture()
     def parallel(self, monkeypatch, set_cpus):
@@ -722,13 +722,10 @@ class TestParallelCount:
         starts = words._split(tally)
         assert len(starts) == 76
         assert tally.walked == 218  # prefixes the parent walks
-        # the count's own batch growth from the word 0, 1, restated: the
-        # walker's lines are the batch filter's
-        grown = words._START
-        for length in range(2, words._SPLIT_DEPTH):
-            grown = _grow(grown, length)
-        width = words._SPLIT_DEPTH + 1
-        assert sorted(starts) == sorted(grown[i : i + width] for i in range(0, len(grown), width))
+        # the depth-first walker from the word 0, 1 reversed, its letters
+        # stored as their bits: the batch growth's lines are the walker's
+        walked = words._walk(words._SPLIT_DEPTH, (b"\1\0",))
+        assert sorted(starts) == sorted(b"\n" + rev.translate(_BITS) for rev in walked)
 
     def test_equals_one_process(self, parallel):
         for n in range(words._SPLIT_DEPTH + 1, words._PARALLEL_MIN_N + 1):
@@ -764,7 +761,7 @@ class TestParallelCount:
         ):
             count_square_free(42, node_budget=budget)
 
-    @pytest.mark.parametrize("cpus,sizes", [(2, [2]), (3, [3]), (10**6, [76]), (1, []), (None, [])])
+    @pytest.mark.parametrize("cpus,sizes", [(2, [2]), (3, [3]), (10**6, [76]), (1, [1]), (None, [1])])
     def test_pool_size(self, set_cpus, pool_sizes, cpus, sizes):
         n = words._PARALLEL_MIN_N
         set_cpus(cpus)
@@ -777,7 +774,7 @@ class TestParallelCount:
         count_square_free(words._PARALLEL_MIN_N)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
         count_square_free(words._PARALLEL_MIN_N)
-        assert pool_sizes == [3]
+        assert pool_sizes == [3, 1]
 
     def test_one_process_below_the_threshold(self, set_cpus, pool_sizes):
         set_cpus(8)
@@ -841,18 +838,19 @@ class TestSharedBudget:
             with pytest.raises(CountBudgetError):
                 count_square_free(42, node_budget=452766)
 
-    def test_an_overrun_stops_near_the_budget(self, set_cpus, pool_sizes, batches):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_an_overrun_stops_near_the_budget(self, set_cpus, pool_sizes, batches, cpus):
         # in one process the subtrees run one after another: the first
         # overruns the shared budget and stops within a chunk and a batch
         # of it
-        set_cpus(2)
+        set_cpus(cpus)
         budget = 10 * words._CHUNK
         with pytest.raises(CountBudgetError, match="node budget of 40960 "):
             count_square_free(100, node_budget=budget)
         walked = 218 + sum(batches)  # the parent walks 218 prefixes
         assert budget < walked <= budget + words._CHUNK + batches[-1]
         assert batches[-1] <= words._CAP
-        assert pool_sizes == [2]
+        assert pool_sizes == [cpus]
 
 
 class TestEnumeration:
