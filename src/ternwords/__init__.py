@@ -1,19 +1,19 @@
 """Ternary square-free words, Brinkhuis triple-pairs, and growth bounds.
 
+``_PUBLIC`` below is the one list of public names: a row per module, in
+its ``__all__`` order, and each module takes its ``__all__`` from its row.
 The names of ``words`` are bound at import.  Those of ``triplepair``,
 ``morphism`` and ``search`` are looked up by ``__getattr__`` (PEP 562),
 which imports their module on first use, so ``import ternwords`` and a
 command that needs ``words`` alone compile nothing else.
 """
 
-from . import words
-from .words import *  # noqa: F401,F403
-
-__version__ = "0.1.0"
-
-# The public names of each lazily loaded module, in its ``__all__`` order
-# (tests/test_package.py holds them to the modules' lists).
-_LAZY = {
+_PUBLIC = {
+    "words": (
+        "ALPHABET", "BudgetError", "CountBudgetError", "DEFAULT_COUNT_BUDGET", "ParseError",
+        "SquareWitness", "Word", "parse_word", "find_square", "is_square_free",
+        "ends_with_square", "shift", "reverse", "count_square_free", "enumerate_square_free",
+    ),
     "triplepair": (
         "TriplePair", "ConcatCheck", "HeadTailCheck", "Certificate", "make_triple_pair",
         "concatenation_words", "head_tail_range", "heads_and_tails", "verify",
@@ -25,13 +25,19 @@ _LAZY = {
     ),
     "search": ("SearchConfig", "SearchOutcome", "find_pairs", "prune_check", "canonicalize"),
 }
-_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
-__all__ = [*words.__all__, *(name for names in _LAZY.values() for name in names), "__version__"]
+from . import words  # noqa: E402
+from .words import *  # noqa: E402,F401,F403
+
+__version__ = "0.1.0"
+
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
 
 
 def __getattr__(name: str):
-    module = name if name in _LAZY else _HOME.get(name)
+    module = name if name in _PUBLIC else _HOME.get(name)
     if module is None:
         # at once, with no import: ``from . import _pool`` and ``hasattr``
         # ask for names that are not here

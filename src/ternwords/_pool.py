@@ -89,8 +89,9 @@ def _imap(fn, tasks: list, size: int):
 
 def _serve(fn, tasks, fd):
     """Worker: write ``(True, fn(task))`` for each task in turn, or
-    ``(False, error)`` for the first that raises or does not pickle, then
-    leave through ``os._exit`` (none of the caller's cleanup), 1 on a fault."""
+    ``(False, error)`` for the first that raises or does not pickle (an
+    error that does not come back from pickling goes as a ``RuntimeError``
+    of its repr), then leave through ``os._exit`` (none of the caller's cleanup), 1 on a fault."""
     code = 1
     try:
         out = open(fd, "wb")  # left to os._exit, so at its end the exit code is set
@@ -99,9 +100,11 @@ def _serve(fn, tasks, fd):
                 out.write(pickle.dumps((True, fn(task))))
             except Exception as exc:  # handed to the caller, which raises it
                 try:
-                    out.write(pickle.dumps((False, exc)))
-                except Exception:  # an error that does not pickle goes as its repr
-                    out.write(pickle.dumps((False, RuntimeError(repr(exc)))))
+                    sent = pickle.dumps((False, exc))
+                    pickle.loads(sent)  # as the caller will
+                except Exception:  # an error that does not pickle and back goes as its repr
+                    sent = pickle.dumps((False, RuntimeError(repr(exc))))
+                out.write(sent)
                 break
             finally:
                 out.flush()

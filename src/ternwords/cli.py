@@ -156,7 +156,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("bound", help="growth-rate lower bound from a k-pair")
+    p = sub.add_parser("bound", help="2^(1/(k-1)), a growth-rate lower bound if a sound"
+                       " k-pair exists (certified for k=18)")
     p.add_argument("k", type=int)
     p.set_defaults(func=_cmd_bound)
 

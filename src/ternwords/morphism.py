@@ -37,20 +37,11 @@ import itertools
 import operator
 from collections import namedtuple
 
+from . import _PUBLIC
 from .words import BudgetError, Word, enumerate_square_free, find_square, square_lines
 from .triplepair import TriplePair, verify
 
-__all__ = [
-    "DEFAULT_EXPANSION_BUDGET",
-    "ExpansionBudgetError",
-    "BoundReport",
-    "ExpansionReport",
-    "UnverifiedPairError",
-    "lower_bound",
-    "parse_choices",
-    "substitute",
-    "verify_expansion",
-]
+__all__ = _PUBLIC["morphism"]
 
 DEFAULT_EXPANSION_BUDGET = 10_000_000
 

@@ -49,10 +49,11 @@ import operator
 from collections import namedtuple
 from contextlib import closing
 
+from . import _PUBLIC
 from .words import LETTER_BYTES, SHIFT_TABLES, Word, shift, square_after, square_ends_from
 from .triplepair import TriplePair, make_triple_pair, verify
 
-__all__ = ["SearchConfig", "SearchOutcome", "find_pairs", "prune_check", "canonicalize"]
+__all__ = _PUBLIC["search"]
 
 
 class SearchConfig(

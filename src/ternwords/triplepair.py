@@ -43,34 +43,15 @@ and looks for the first colliding pair only when two coincide.
 from collections import namedtuple
 from collections.abc import Sequence
 
+from . import _PUBLIC
 from .words import SHIFT_TABLES, ParseError, Word, find_square, parse_word, square_ends_from
 
-__all__ = [
-    "TriplePair",
-    "ConcatCheck",
-    "HeadTailCheck",
-    "Certificate",
-    "make_triple_pair",
-    "concatenation_words",
-    "head_tail_range",
-    "heads_and_tails",
-    "verify",
-    "certificate_text",
-    "builtin_pair",
-    "parse_pair_text",
-    "read_pair_file",
-    "pair_text",
-]
+__all__ = _PUBLIC["triplepair"]
 
 WORD_LABELS = ("U0", "V0", "U1", "V1", "U2", "V2")
 
-# Emission order for the 24 concatenation checks: ordered index pairs, then
-# the U/V choice at each of the two slots.
-CONCAT_INDEX_PAIRS = ((0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1))
-CONCAT_CHOICES = ("UU", "UV", "VU", "VV")
-
 # Head/tail sources in report order: heads of U0,U1,U2,V0,V1,V2, then tails.
-_HT_SOURCES = ("U0", "U1", "U2", "V0", "V1", "V2")
+_HT_SOURCES = WORD_LABELS[0::2] + WORD_LABELS[1::2]
 HEADTAIL_LABELS = tuple(f"head{s}" for s in _HT_SOURCES) + tuple(
     f"tail{s}" for s in _HT_SOURCES
 )
@@ -151,22 +132,22 @@ class HeadTailCheck(namedtuple("HeadTailCheck", "r collision")):
         return self.collision is None
 
 
-# The 24 concatenations in emission order: the file-order slots (U0, V0,
-# U1, V1, U2, V2 are 0..5) of the two halves, and their labels.
-_CONCAT_PLAN = tuple(
-    (2 * i + (x == "V"), 2 * j + (y == "V"))
-    for i, j in CONCAT_INDEX_PAIRS
-    for x, y in CONCAT_CHOICES
+# The 24 concatenations in emission order (ordered index pairs, then the
+# U/V choice at each slot): the label and the file-order slots (U0, V0, U1,
+# V1, U2, V2 are 0..5) of the two halves.
+_CONCATS = tuple(
+    (f"{i}{x}{j}{y}", 2 * i + (x == "V"), 2 * j + (y == "V"))
+    for i, j in ((0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1))
+    for x, y in ("UU", "UV", "VU", "VV")
 )
-_CONCAT_LABELS = tuple(f"{i}{x}{j}{y}" for i, j in CONCAT_INDEX_PAIRS for x, y in CONCAT_CHOICES)
 # The verdict's order: V-led (odd first slot) first; the module docstring says why.
-_VERDICT_PLAN = tuple(p for lead in (1, 0) for p in _CONCAT_PLAN if p[0] % 2 == lead)
+_VERDICT_PLAN = tuple((a, b) for lead in (1, 0) for _, a, b in _CONCATS if a % 2 == lead)
 
 
 def concatenation_words(tp: TriplePair) -> list:
     """The 24 labelled length-2k concatenations, in the fixed emission order."""
     words = tp.words_in_file_order()
-    return [(label, words[a] + words[b]) for (a, b), label in zip(_CONCAT_PLAN, _CONCAT_LABELS)]
+    return [(label, words[a] + words[b]) for label, a, b in _CONCATS]
 
 
 def _letter_bytes(tp: TriplePair) -> tuple:
@@ -229,8 +210,7 @@ class Certificate(namedtuple("Certificate", "k verdict letters")):
     def concat_results(self) -> tuple:
         ws = self.letters
         return tuple(
-            ConcatCheck(label, find_square(Word._wrap(ws[a] + ws[b])))
-            for (a, b), label in zip(_CONCAT_PLAN, _CONCAT_LABELS)
+            ConcatCheck(label, find_square(Word._wrap(ws[a] + ws[b]))) for label, a, b in _CONCATS
         )
 
     @property

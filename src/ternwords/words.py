@@ -95,23 +95,9 @@ from collections.abc import Iterable, Iterator
 from contextlib import closing
 from itertools import compress
 
-__all__ = [
-    "ALPHABET",
-    "BudgetError",
-    "CountBudgetError",
-    "DEFAULT_COUNT_BUDGET",
-    "ParseError",
-    "SquareWitness",
-    "Word",
-    "parse_word",
-    "find_square",
-    "is_square_free",
-    "ends_with_square",
-    "shift",
-    "reverse",
-    "count_square_free",
-    "enumerate_square_free",
-]
+from . import _PUBLIC
+
+__all__ = _PUBLIC["words"]
 
 ALPHABET = (0, 1, 2)
 

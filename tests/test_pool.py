@@ -1,5 +1,6 @@
 """The package's one process pool: ordered results and reaped workers."""
 
+import errno
 import gc
 import os
 import signal
@@ -76,6 +77,17 @@ def _error_that_does_not_pickle_on_three(x):
     return x
 
 
+class TwoArgs(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def _error_that_does_not_unpickle_on_one(x):
+    if x == 1:
+        raise TwoArgs(x, x)  # pickles, but unpickling calls TwoArgs(msg) with one argument
+    return x
+
+
 def _no_pickle_after_one(x):
     if x == 1:
         _pool.pickle = None  # in worker 1 only: its next result, task 3's, cannot be written
@@ -147,6 +159,29 @@ class TestPoolImap:
             ) as failed:
                 list(pool_imap(_error_that_does_not_pickle_on_three, list(range(10)), 2))
         assert failed.type is RuntimeError
+
+    def test_an_error_that_does_not_unpickle_keeps_its_text(self, set_cpus):
+        set_cpus(2)
+        with leaves_nothing_behind():
+            with pytest.raises(RuntimeError, match=r"^TwoArgs\('1 and 1'\)$") as failed:
+                list(pool_imap(_error_that_does_not_unpickle_on_one, list(range(4)), 2))
+        assert failed.type is RuntimeError
+
+    def test_a_failed_fork_reaps_the_workers_made(self, monkeypatch, set_cpus):
+        set_cpus(2)
+        fork, pids = os.fork, []
+
+        def fork_once():
+            if pids:
+                raise OSError(errno.EAGAIN, "fork failed")
+            pids.append(fork())
+            return pids[-1]
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        with leaves_nothing_behind():
+            with pytest.raises(OSError) as failed:
+                list(pool_imap(_square, range(4), 2))
+        assert failed.value.errno == errno.EAGAIN and len(pids) == 1
 
     def test_a_worker_that_cannot_write_is_named_by_its_exit_code(self, set_cpus):
         # the worker exits 1 when its pipe reaches its end; had it closed
